@@ -25,10 +25,6 @@ and a '.' decimal separator regardless of locale.
 
 Exit codes: 0 success (including failing verdicts), 2 spec/usage errors,
 3 domain errors during evaluation.
-
-The environment variable ``JACOBI_SPECTRA_THREADS`` caps internal
-parallelism; the current implementation is sequential, so any cap is
-honored trivially.
 """
 
 import argparse
@@ -144,10 +140,10 @@ def cmd_analyze(args):
     alpha = _resolve_alpha(args.alpha, seq)
     for lam in lams:
         init = _resolve_init(args.init, seq, lam)
-        states = list(recurrence.propagate(seq, lam, init, args.n))
         tag = _lam_tag(lam)
         recurrence.write_trace_csv(
-            os.path.join(outdir, "eigvec_lambda_%s.csv" % tag), states)
+            os.path.join(outdir, "eigvec_lambda_%s.csv" % tag),
+            recurrence.propagate(seq, lam, init, args.n))
         trace = diagnostics.s_sequence(seq, alpha, lam, init, args.n)
         diagnostics.write_trace_csv(
             os.path.join(outdir, "diagnostics_lambda_%s.csv" % tag), trace)
@@ -209,8 +205,12 @@ def cmd_spectrum(args):
         if args.bin is None:
             raise ParseError("--window requires --bin")
         lo, _, hi = args.window.partition(",")
-        rows = spectra.density_report(seq, args.size,
-                                      (float(lo), float(hi)), args.bin)
+        try:
+            window = (float(lo), float(hi))
+        except ValueError:
+            raise ParseError("--window must be x_lo,x_hi, got %r"
+                             % args.window) from None
+        rows = spectra.density_report(seq, args.size, window, args.bin)
         path = os.path.join(outdir, "density.csv")
         spectra.write_density_csv(path, rows)
     else:

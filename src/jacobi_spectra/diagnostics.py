@@ -24,6 +24,7 @@ are pass / fail / inconclusive with the thresholds documented in
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .recurrence import propagate, poly_init
-from .sequences import WeightSequence, iterlog_g
+from .sequences import _first_iterlog_valid, iterlog_g
 
 __all__ = [
     "DiagnosticsTrace",
@@ -58,8 +59,18 @@ INCONCLUSIVE = "inconclusive"
 
 
 def negative_part(x):
-    """max(-x, 0)."""
-    return -x if x < 0.0 else 0.0
+    """Elementwise max(-x, 0); NaN and -0.0 map to +0.0."""
+    return np.where(x < 0.0, -x, 0.0)
+
+
+def _elementwise(fn, *args):
+    """fn mapped over equal-length sequences, as a float array.
+
+    numpy's exp, log, hypot and power differ from the ``math`` functions
+    in the last bit for some inputs; computing those entries with ``math``
+    keeps every written number identical to the scalar definitions.
+    """
+    return np.fromiter(map(fn, *args), float, len(args[0]))
 
 
 # --- the S sequence --------------------------------------------------------
@@ -98,6 +109,15 @@ class DiagnosticsTrace:
             return self.s_over_shat * np.exp(self.log_shat)
 
 
+def _w_bounds(a, al, b, lam):
+    """w-bounds at n = 1..m from a(0..m), alpha(0..m) and b(1..m) arrays."""
+    r = (al[:-1] / al[1:]) * (a[1:] / a[:-1])
+    t = (lam - b) / a[1:]
+    root = _elementwise(math.hypot, 1.0 - r, r * t)
+    scale = 0.5 * a[1:] * al[1:]
+    return scale * (1.0 + r - root), scale * (1.0 + r + root)
+
+
 def w_bounds(seq, alpha, lam, n):
     """Extremes of the quadratic form S(n) on the circle Shat(n) = 1.
 
@@ -108,11 +128,10 @@ def w_bounds(seq, alpha, lam, n):
     """
     if n < 1:
         raise DomainError("w_bounds needs n >= 1")
-    r = (alpha(n - 1) / alpha(n)) * (seq.a(n) / seq.a(n - 1))
-    t = (lam - seq.b(n)) / seq.a(n)
-    root = math.hypot(1.0 - r, r * t)
-    scale = 0.5 * seq.a(n) * alpha(n)
-    return scale * (1.0 + r - root), scale * (1.0 + r + root)
+    lo, hi = _w_bounds(np.array([seq.a(n - 1), seq.a(n)]),
+                       np.array([alpha(n - 1), alpha(n)]),
+                       np.array([seq.b(n)]), lam)
+    return float(lo[0]), float(hi[0])
 
 
 def s_sequence(seq, alpha, lam, init, n_max, f_exclusion=1e-12):
@@ -127,67 +146,41 @@ def s_sequence(seq, alpha, lam, init, n_max, f_exclusion=1e-12):
         raise DomainError("n_max must be >= 2")
     lam = float(lam)
     N = n_max
-    ns = np.arange(1, N + 1)
-    s32 = np.empty(N)
-    s31 = np.empty(N)
-    log_shat = np.empty(N)
-    a_alpha = np.empty(N)
-    w_lo = np.empty(N)
-    w_hi = np.empty(N)
-    inv_a_alpha = np.empty(N)
+    # rows n = 0..N of (x, y, logscale)
+    states = np.fromiter(((s.x, s.y, s.logscale)
+                          for s in propagate(seq, lam, init, N)),
+                         dtype=(float, 3), count=N + 1)
+    x, y, logscale = states.T
+    a = seq.a_array(N + 1)
+    b = seq.b_array(N + 1)[1:]
+    al = _elementwise(alpha, range(N + 1))
+    a_n, a_nm1, al_n, al_nm1 = a[1:], a[:-1], al[1:], al[:-1]
+    lam_b = lam - b
 
-    prev = None
-    states = propagate(seq, lam, init, N)
-    for state in states:
-        n = state.n
-        if n == 0:
-            prev = state
-            continue
-        a_n = seq.a(n)
-        b_n = seq.b(n)
-        a_nm1 = seq.a(n - 1)
-        al_n = alpha(n)
-        al_nm1 = alpha(n - 1)
-        x, y = state.x, state.y
-        ratio = al_nm1 / a_nm1
-        s32[n - 1] = (ratio * a_n * a_n * y * y
-                      + a_n * al_n * x * x
-                      - ratio * a_n * (lam - b_n) * y * x)
-        rho = math.exp(prev.logscale - state.logscale)
-        um1 = prev.x * rho
-        u = prev.y * rho
-        s31[n - 1] = (a_nm1 * al_nm1 * um1 * um1
-                      + a_n * al_n * u * u
-                      - (lam - b_n) * al_nm1 * um1 * u)
-        log_shat[n - 1] = 2.0 * state.logscale
-        a_alpha[n - 1] = a_n * al_n
-        inv_a_alpha[n - 1] = 1.0 / (a_n * al_n)
-        r = (al_nm1 / al_n) * (a_n / a_nm1)
-        t = (lam - b_n) / a_n
-        root = math.hypot(1.0 - r, r * t)
-        scale = 0.5 * a_n * al_n
-        w_lo[n - 1] = scale * (1.0 + r - root)
-        w_hi[n - 1] = scale * (1.0 + r + root)
-        prev = state
+    ratio = al_nm1 / a_nm1
+    s32 = (ratio * a_n * a_n * y[1:] * y[1:]
+           + a_n * al_n * x[1:] * x[1:]
+           - ratio * a_n * lam_b * y[1:] * x[1:])
+    rho = _elementwise(math.exp, logscale[:-1] - logscale[1:])
+    um1 = x[:-1] * rho
+    u = y[:-1] * rho
+    s31 = (a_nm1 * al_nm1 * um1 * um1
+           + a_n * al_n * u * u
+           - lam_b * al_nm1 * um1 * u)
+    log_shat = 2.0 * logscale[1:]
+    a_alpha = a_n * al_n
+    w_lo, w_hi = _w_bounds(a, al, b, lam)
 
-    # F(n) = S(n+1)/S(n) - 1 with the Shat rescaling between steps
+    # F(n) = S(n+1)/S(n) - 1 with the Shat rescaling between steps; the
+    # comparison is negated so that a NaN S(n) is kept, not excluded
     F = np.full(N, np.nan)
-    excluded = 0
-    sum_F_minus = np.zeros(N)
-    running = 0.0
-    for i in range(N - 1):
-        if abs(s32[i]) < f_exclusion * a_alpha[i]:
-            excluded += 1
-        else:
-            growth = math.exp(log_shat[i + 1] - log_shat[i])
-            F[i] = (s32[i + 1] * growth) / s32[i] - 1.0
-            running += negative_part(F[i])
-        sum_F_minus[i] = running
-    sum_F_minus[N - 1] = running
+    kept = np.flatnonzero(~(np.abs(s32[:-1]) < f_exclusion * a_alpha[:-1]))
+    growth = _elementwise(math.exp, log_shat[kept + 1] - log_shat[kept])
+    F[kept] = (s32[kept + 1] * growth) / s32[kept] - 1.0
 
     return DiagnosticsTrace(
         lam=lam,
-        n=ns,
+        n=np.arange(1, N + 1),
         s_over_shat=s32,
         s31_over_shat=s31,
         log_shat=log_shat,
@@ -195,9 +188,9 @@ def s_sequence(seq, alpha, lam, init, n_max, f_exclusion=1e-12):
         w_min=w_lo,
         w_max=w_hi,
         F=F,
-        sum_F_minus=sum_F_minus,
-        sum_inv_a_alpha=np.cumsum(inv_a_alpha),
-        excluded=excluded,
+        sum_F_minus=np.cumsum(negative_part(F)),
+        sum_inv_a_alpha=np.cumsum(1.0 / a_alpha),
+        excluded=N - 1 - len(kept),
     )
 
 
@@ -420,28 +413,21 @@ def check_theorem_A(seq, alpha, n_max, config=None):
     if n_max < 100:
         raise DomainError("n_max must be >= 100")
     N = int(n_max)
-    a = np.array([seq.a(n) for n in range(N + 2)])
-    b = np.array([seq.b(n) for n in range(N + 2)])
-    al = np.array([alpha(n) for n in range(N + 2)])
+    a = seq.a_array(N + 2)
+    b = seq.b_array(N + 2)
+    al = _elementwise(alpha, range(N + 2))
 
     ns1 = np.arange(1, N)      # terms needing n-1 and n+1
-    terms_b = np.array([
-        negative_part((a[n + 1] / a[n]) * (al[n + 1] / al[n])
-                      - (a[n] / a[n - 1]) * (al[n - 1] / al[n]))
-        for n in ns1
-    ])
+    terms_b = negative_part((a[2: N + 1] / a[1:N]) * (al[2: N + 1] / al[1:N])
+                            - (a[1:N] / a[: N - 1]) * (al[: N - 1] / al[1:N]))
     ns_c = np.arange(1, N + 1)
-    terms_c = np.array([
-        abs(a[n - 1] / a[n] - al[n - 1] / al[n]) / a[n - 1] for n in ns_c
-    ])
+    terms_c = np.abs(a[:N] / a[1: N + 1] - al[:N] / al[1: N + 1]) / a[:N]
     ns_d = np.arange(1, N + 1)  # the n = 0 summand vanishes (alpha(-1) = 0)
-    terms_d = np.array([
-        abs(b[n + 1] / a[n] - (b[n] / a[n - 1]) * (al[n - 1] / al[n]))
-        for n in ns_d
-    ])
+    terms_d = np.abs(b[2: N + 2] / a[1: N + 1]
+                     - (b[1: N + 1] / a[:N]) * (al[:N] / al[1: N + 1]))
     ns_e = np.arange(0, N + 1)
     terms_e = 1.0 / (a[: N + 1] * al[: N + 1])
-    ratio_f = np.array([(al[n - 1] / al[n]) * (a[n] / a[n - 1]) for n in ns_c])
+    ratio_f = (al[:N] / al[1: N + 1]) * (a[1: N + 1] / a[:N])
 
     verdicts = [
         _verdict("ThmA.a", _grade_growth_to_inf(ns_e, a[: N + 1], cfg)),
@@ -462,12 +448,12 @@ def check_corollary_B(seq, n_max, config=None):
     if n_max < 100:
         raise DomainError("n_max must be >= 100")
     N = int(n_max)
-    a = np.array([seq.a(n) for n in range(N + 2)])
-    b = np.array([seq.b(n) for n in range(N + 2)])
+    a = seq.a_array(N + 2)
+    b = seq.b_array(N + 2)
     ns = np.arange(0, N + 1)
 
-    terms_c = np.array([negative_part((a[n + 1] / a[n]) ** 2 - 1.0)
-                        for n in ns])
+    terms_c = negative_part(
+        _elementwise(lambda r: r ** 2, a[1: N + 2] / a[: N + 1]) - 1.0)
     terms_e = np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1]
 
     verdicts = [
@@ -497,13 +483,13 @@ def check_corollary_C(seq, n_max, config=None):
     if n_max < 100:
         raise DomainError("n_max must be >= 100")
     N = int(n_max)
-    a = np.array([seq.a(n) for n in range(N + 2)])
-    b = np.array([seq.b(n) for n in range(N + 2)])
+    a = seq.a_array(N + 2)
+    b = seq.b_array(N + 2)
     ns = np.arange(0, N + 1)
 
-    terms_c = np.array([negative_part(a[n + 1] / a[n] - 1.0) for n in ns])
+    terms_c = negative_part(a[1: N + 2] / a[: N + 1] - 1.0)
     ns_d = np.arange(1, N + 1)
-    m_terms = np.array([a[n - 1] - b[n] + a[n] for n in ns_d])
+    m_terms = a[:N] - b[1: N + 1] + a[1: N + 1]
 
     graded_d = _grade_limit(ns_d, m_terms, cfg)
     verdicts = [
@@ -540,17 +526,15 @@ def check_theorem_42(seq, n_max, config=None):
     if n_max < 100:
         raise DomainError("n_max must be >= 100")
     N = int(n_max)
-    a = np.array([seq.a(n) for n in range(N + 2)])
-    b = np.array([seq.b(n) for n in range(N + 2)])
+    a = seq.a_array(N + 2)
+    b = seq.b_array(N + 2)
     ns = np.arange(0, N + 1)
 
     def bv_terms(values):
         return np.abs(np.diff(values))
 
-    seq_ratio = np.array([a[n - 1] / a[n] if n >= 1 else a[0] / a[0]
-                          for n in range(N + 2)])
     bv_sets = {
-        "a_ratio": bv_terms(seq_ratio[1: N + 2]),
+        "a_ratio": bv_terms(a[: N + 1] / a[1: N + 2]),
         "inv_a": bv_terms(1.0 / a[: N + 2]),
         "b_over_a": bv_terms(b[: N + 2] / a[: N + 2]),
     }
@@ -587,25 +571,22 @@ def check_theorem_43(seq, K, n_max, n_start=None, config=None):
     K = int(K)
     N = int(n_max)
     if n_start is None:
-        n_start = 2
-        while True:
-            try:
-                iterlog_g(K, float(n_start))
-                break
-            except DomainError:
-                n_start += 1
-    a = np.array([seq.a(n) for n in range(N + 2)])
-    b = np.array([seq.b(n) for n in range(N + 2)])
+        n_start = max(2, _first_iterlog_valid(K))
+    if n_start > N:
+        raise DomainError("the K=%d envelope starts at n=%d, past n_max=%d"
+                          % (K, n_start, N))
+    a = seq.a_array(N + 2)
+    b = seq.b_array(N + 2)
     ns_all = np.arange(0, N + 1)
 
     ns_b = np.arange(n_start, N + 1)
-    slack = np.empty(len(ns_b))
-    for i, n in enumerate(ns_b):
-        ratio = a[n] / a[n - 1]
-        envelope = 1.0 + 1.0 / n
-        for j in range(1, K + 1):
-            envelope += 1.0 / (n * iterlog_g(j, float(n)))
-        slack[i] = max(0.0, 1.0 - ratio, ratio - envelope)
+    ratio = a[n_start: N + 1] / a[n_start - 1: N]
+    envelope = 1.0 + 1.0 / ns_b
+    for j in range(1, K + 1):
+        g_j = _elementwise(functools.partial(iterlog_g, j),
+                           range(n_start, N + 1))
+        envelope += 1.0 / (ns_b * g_j)
+    slack = np.maximum(0.0, np.maximum(1.0 - ratio, ratio - envelope))
 
     terms_bv = np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1]
     graded_bounded = _grade_bounded(ns_all, b[: N + 1], cfg)
@@ -626,20 +607,6 @@ def check_theorem_43(seq, K, n_max, n_start=None, config=None):
         _verdict("Thm43.d", _grade_summable(ns_d, terms_d, cfg)),
     ]
     return verdicts
-
-
-# --- default weight choices ------------------------------------------------
-
-
-def default_alpha(choice, seq, K=1):
-    """Resolve an alpha selector: 'a', 'one' or 'iterlog'."""
-    if choice == "a":
-        return WeightSequence.from_a(seq)
-    if choice == "one":
-        return WeightSequence.ones()
-    if choice == "iterlog":
-        return WeightSequence.iterlog_weight(seq, K)
-    raise DomainError("unknown alpha choice %r" % choice)
 
 
 # --- export ----------------------------------------------------------------

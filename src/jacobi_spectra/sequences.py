@@ -42,6 +42,8 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError, ParseError
 
 __all__ = [
@@ -91,9 +93,16 @@ class SequencePair:
                 % (n, self.length)
             )
 
-    def a(self, n):
+    def _eval(self, fn, label, n):
         self._check_index(n)
-        value = float(self._a_fn(n))
+        try:
+            return float(fn(n))
+        except OverflowError:
+            raise DomainError("%s(%d) overflows for family %r"
+                              % (label, n, self.name)) from None
+
+    def a(self, n):
+        value = self._eval(self._a_fn, "a", n)
         if not value > 0.0 or not math.isfinite(value):
             raise DomainError(
                 "a(%d) = %r violates positivity for family %r" % (n, value, self.name)
@@ -101,15 +110,15 @@ class SequencePair:
         return value
 
     def b(self, n):
-        self._check_index(n)
-        return float(self._b_fn(n))
+        return self._eval(self._b_fn, "b", n)
 
     def a_array(self, n_max):
-        """a(0..n_max-1) as a list."""
-        return [self.a(n) for n in range(n_max)]
+        """a(0..n_max-1) as a float array, each entry checked by :meth:`a`."""
+        return np.fromiter(map(self.a, range(n_max)), float, n_max)
 
     def b_array(self, n_max):
-        return [self.b(n) for n in range(n_max)]
+        """b(0..n_max-1) as a float array."""
+        return np.fromiter(map(self.b, range(n_max)), float, n_max)
 
     def __repr__(self):
         return "SequencePair(%r)" % self.name
@@ -182,16 +191,23 @@ class WeightSequence:
 
 
 def _first_iterlog_valid(K):
-    n = 1
-    while True:
-        try:
-            if iterlog_g(K, float(n)) > 0.0:
-                return n
-        except DomainError:
-            pass
-        n += 1
-        if n > 10 ** 6:  # pragma: no cover - K this deep is unusable anyway
-            raise DomainError("no valid starting index for K=%d" % K)
+    """First n >= 1 at which every iterated log in g_K(n) is positive.
+
+    The j-th iterated log of n is positive exactly when n exceeds exp
+    applied j-1 times to 1, so the answer is the first integer above that
+    tower for j = K.  Past K = 4 the tower overflows binary64.
+    """
+    if K < 0:
+        raise DomainError("iterated-log order must be >= 0, got %d" % K)
+    if K == 0:
+        return 1
+    tower = 1.0
+    try:
+        for _ in range(K - 1):
+            tower = math.exp(tower)
+    except OverflowError:
+        raise DomainError("no valid starting index for K=%d" % K) from None
+    return math.floor(tower) + 1
 
 
 def iterlog_g(j, x):
@@ -441,12 +457,15 @@ def instantiate(spec):
 def load_table(path):
     """Read a finite sequence table from CSV with columns n,a[,b]."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].strip().lower() in ("n", "#", ""):
-                continue
-            rows.append(row)
+    try:
+        with open(path, newline="") as fh:
+            for row in csv.reader(fh):
+                if not row or row[0].strip().lower() in ("n", "#", ""):
+                    continue
+                rows.append(row)
+    except OSError as exc:
+        raise ParseError("cannot read sequence table %r: %s"
+                         % (path, exc.strerror or exc)) from None
     if not rows:
         raise DomainError("empty sequence table %r" % path)
     rows.sort(key=lambda r: int(r[0]))

@@ -50,6 +50,9 @@ class Truncation:
         object.__setattr__(self, "offdiag", np.asarray(self.offdiag, dtype=float))
         if len(self.offdiag) != len(self.diag) - 1:
             raise DomainError("offdiag must have length N-1")
+        if not (np.all(np.isfinite(self.diag))
+                and np.all(np.isfinite(self.offdiag))):
+            raise DomainError("truncation entries must be finite")
         if np.any(self.offdiag <= 0.0):
             raise DomainError("off-diagonal entries must be positive")
 
@@ -89,9 +92,7 @@ def truncate(seq, order):
     """Copy the first ``order`` rows/columns of the Jacobi matrix."""
     if order < 1:
         raise DomainError("truncation order must be >= 1")
-    diag = np.array([seq.b(n) for n in range(order)])
-    offdiag = np.array([seq.a(n) for n in range(order - 1)])
-    return Truncation(diag, offdiag)
+    return Truncation(seq.b_array(order), seq.a_array(order - 1))
 
 
 def _sturm_counts_vec(diag, off2, shifts, pivmin):

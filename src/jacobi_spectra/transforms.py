@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ParseError
 from . import diagnostics as _diag
 from .diagnostics import ConditionVerdict, overall_verdict
 from .sequences import SequencePair
@@ -239,11 +239,9 @@ def bd_check_theorem_51(rates, n_max, config=None):
     if n_max < 100:
         raise DomainError("n_max must be >= 100")
     N = int(n_max)
-    inter = bd_interleaved(rates)
-    a = np.array([inter.a(n) for n in range(N + 2)])
+    a = bd_interleaved(rates).a_array(N + 2)
     ns = np.arange(0, N + 1)
-    terms_c = np.array([_diag.negative_part(a[n + 1] / a[n] - 1.0)
-                        for n in ns])
+    terms_c = _diag.negative_part(a[1: N + 2] / a[: N + 1] - 1.0)
     verdicts = [
         ConditionVerdict("Thm51.a",
                          *_diag._grade_growth_to_inf(ns, a[: N + 1], cfg)),
@@ -275,6 +273,10 @@ def parse_rates(text):
     text = text.removeprefix("bd:")
     fields = dict(
         item.partition("=")[::2] for item in text.split(",") if item)
+    unknown = sorted(set(fields) - {"lam", "mu"})
+    if unknown:
+        raise ParseError("unknown rates key(s) %s in %r"
+                         % (", ".join(unknown), text))
     lam_name = fields.get("lam")
     mu_name = fields.get("mu")
     if lam_name not in _RATE_FAMILIES or mu_name not in _RATE_FAMILIES:

@@ -39,7 +39,6 @@ from jacobi_spectra import (
     truncate,
     w_bounds,
 )
-from jacobi_spectra.diagnostics import default_alpha
 
 CATALOG = [
     "const",
@@ -70,7 +69,8 @@ def test_criterion_01_dual_form_identity():
         seq = instantiate(str(rng.choice(CATALOG)))
         lam = float(rng.uniform(-5.0, 5.0))
         init = EigvecInit(1.0, float(rng.uniform(-2.0, 2.0)))
-        alpha = default_alpha(str(rng.choice(["a", "one"])), seq)
+        alpha = (WeightSequence.from_a(seq) if rng.choice(["a", "one"]) == "a"
+                 else WeightSequence.ones())
         trace = s_sequence(seq, alpha, lam, init, 500)
         keep = np.abs(trace.s_over_shat) > 1e-8 * trace.a_alpha
         # relative to the natural scale of the form: max(|S|, a alpha); just

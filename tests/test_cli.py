@@ -1,10 +1,13 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import math
+import time
 
 import pytest
 
-from jacobi_spectra.cli import main
+from jacobi_spectra import ParseError, instantiate
+from jacobi_spectra.cli import _resolve_alpha, main
 
 
 def run(args):
@@ -97,6 +100,41 @@ def test_check_writes_outdir(tmp_path):
 
 def test_check_missing_rates_exits_2():
     assert run(["check", "--theorem", "51", "--n", "1000"]) == 2
+
+
+def test_check_theorem_43_deep_K_exits_3_quickly(tmp_path, capsys):
+    # the K=9 envelope starts past any representable index
+    start = time.perf_counter()
+    assert run(["check", "--theorem", "43", "--seq", "const", "--k", "9",
+                "--n", "200", "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--seq", "const", "--size", "10", "--window=1",
+      "--bin", "0.5"], 2),
+    (["check", "--theorem", "B", "--seq", "table:{missing}", "--n", "200"], 2),
+    (["spectrum", "--seq", "pow:alpha=400", "--size", "10"], 3),
+    (["check", "--theorem", "51", "--bd", "lam=linear,mu=linear,zz=1",
+      "--n", "200"], 2),
+])
+def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    argv = [a.format(missing=missing) for a in argv]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_resolve_alpha_choices():
+    seq = instantiate("pow:alpha=0.5")
+    assert _resolve_alpha("a", seq)(4) == seq.a(4)
+    assert _resolve_alpha("one", seq)(4) == 1.0
+    assert _resolve_alpha("iterlog:1", seq)(100) == pytest.approx(
+        100.0 * math.log(100.0) / seq.a(100))
+    with pytest.raises(ParseError):
+        _resolve_alpha("nope", seq)
 
 
 # --- spectrum --------------------------------------------------------------

@@ -25,9 +25,10 @@ from jacobi_spectra import (
 )
 from jacobi_spectra.diagnostics import (
     ConditionVerdict,
-    default_alpha,
+    negative_part,
     write_trace_csv,
 )
+from jacobi_spectra.recurrence import propagate
 from jacobi_spectra.transforms import flip
 
 CATALOG = [
@@ -74,7 +75,7 @@ def test_dual_forms_agree_randomized():
         lam = float(rng.uniform(-5.0, 5.0))
         init = EigvecInit(1.0, float(rng.uniform(-2.0, 2.0)))
         choice = rng.choice(["a", "one"])
-        alpha = default_alpha(str(choice), seq)
+        alpha = alpha_a(seq) if choice == "a" else WeightSequence.ones()
         trace = s_sequence(seq, alpha, lam, init, 200)
         keep = np.abs(trace.s_over_shat) > 1e-8 * trace.a_alpha
         # tolerance relative to max(|S|, a alpha): near the exclusion cutoff
@@ -88,6 +89,92 @@ def test_s_sequence_needs_two_steps():
     seq = instantiate("const")
     with pytest.raises(DomainError):
         s_sequence(seq, alpha_a(seq), 0.0, poly_init(seq, 0.0), 1)
+
+
+def _s_sequence_reference(seq, alpha, lam, init, N, f_exclusion):
+    """The per-n scalar definition of every DiagnosticsTrace field."""
+    fields = {k: np.empty(N) for k in
+              ("s32", "s31", "log_shat", "a_alpha", "w_lo", "w_hi", "inv")}
+    prev = None
+    for state in propagate(seq, lam, init, N):
+        n = state.n
+        if n == 0:
+            prev = state
+            continue
+        a_n, b_n, a_nm1 = seq.a(n), seq.b(n), seq.a(n - 1)
+        al_n, al_nm1 = alpha(n), alpha(n - 1)
+        x, y = state.x, state.y
+        ratio = al_nm1 / a_nm1
+        fields["s32"][n - 1] = (ratio * a_n * a_n * y * y
+                                + a_n * al_n * x * x
+                                - ratio * a_n * (lam - b_n) * y * x)
+        rho = math.exp(prev.logscale - state.logscale)
+        um1, u = prev.x * rho, prev.y * rho
+        fields["s31"][n - 1] = (a_nm1 * al_nm1 * um1 * um1
+                                + a_n * al_n * u * u
+                                - (lam - b_n) * al_nm1 * um1 * u)
+        fields["log_shat"][n - 1] = 2.0 * state.logscale
+        fields["a_alpha"][n - 1] = a_n * al_n
+        fields["inv"][n - 1] = 1.0 / (a_n * al_n)
+        r = (al_nm1 / al_n) * (a_n / a_nm1)
+        t = (lam - b_n) / a_n
+        root = math.hypot(1.0 - r, r * t)
+        scale = 0.5 * a_n * al_n
+        fields["w_lo"][n - 1] = scale * (1.0 + r - root)
+        fields["w_hi"][n - 1] = scale * (1.0 + r + root)
+        prev = state
+    s32, log_shat = fields["s32"], fields["log_shat"]
+    F = np.full(N, np.nan)
+    sum_F_minus = np.zeros(N)
+    excluded, running = 0, 0.0
+    for i in range(N - 1):
+        if abs(s32[i]) < f_exclusion * fields["a_alpha"][i]:
+            excluded += 1
+        else:
+            growth = math.exp(log_shat[i + 1] - log_shat[i])
+            F[i] = (s32[i + 1] * growth) / s32[i] - 1.0
+            running += -F[i] if F[i] < 0.0 else 0.0
+        sum_F_minus[i] = running
+    sum_F_minus[N - 1] = running
+    return dict(n=np.arange(1, N + 1), s_over_shat=s32,
+                s31_over_shat=fields["s31"], log_shat=log_shat,
+                a_alpha=fields["a_alpha"], w_min=fields["w_lo"],
+                w_max=fields["w_hi"], F=F, sum_F_minus=sum_F_minus,
+                sum_inv_a_alpha=np.cumsum(fields["inv"]), excluded=excluded)
+
+
+@pytest.mark.parametrize("text", ["const", "pow:alpha=0.5", "chihara",
+                                  "paired:eps=0.01,inner=pow,alpha=1"])
+@pytest.mark.parametrize("lam", [-1.5, 0.0, 0.7, 3.0])
+@pytest.mark.parametrize("choice", ["a", "one"])
+def test_s_sequence_bitwise_matches_scalar_reference(text, lam, choice):
+    seq = instantiate(text)
+    alpha = alpha_a(seq) if choice == "a" else WeightSequence.ones()
+    init = poly_init(seq, lam)
+    # f_exclusion = 0.5 excludes part of the entries; 1e-12 is the default
+    for f_exclusion in (1e-12, 0.5):
+        trace = s_sequence(seq, alpha, lam, init, 300, f_exclusion=f_exclusion)
+        ref = _s_sequence_reference(seq, alpha, lam, init, 300, f_exclusion)
+        assert trace.lam == lam
+        assert trace.excluded == ref.pop("excluded")
+        for name, want in ref.items():
+            got = getattr(trace, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+
+def test_s_sequence_exclusion_case_excludes_some_entries():
+    seq = instantiate("const")
+    trace = s_sequence(seq, alpha_a(seq), -1.5, poly_init(seq, -1.5), 300,
+                       f_exclusion=0.5)
+    assert 0 < trace.excluded < 299
+    assert np.sum(np.isnan(trace.F)) == trace.excluded + 1
+
+
+def test_negative_part_edges():
+    out = negative_part(np.array([np.nan, -0.0, 0.0, -2.0, 3.0, -np.inf]))
+    assert out.tolist() == [0.0, 0.0, 0.0, 2.0, 0.0, np.inf]
+    assert not np.any(np.signbit(out))
 
 
 # --- w bounds --------------------------------------------------------------
@@ -250,6 +337,8 @@ def test_checker_rejects_short_runs():
     seq = instantiate("const")
     with pytest.raises(DomainError):
         check_corollary_B(seq, 50)
+    with pytest.raises(DomainError):  # the K=4 envelope starts at 3814280
+        check_theorem_43(seq, 4, 200)
 
 
 # --- verdict machinery -----------------------------------------------------
@@ -276,16 +365,6 @@ def test_verdicts_to_json_sanitizes():
     assert cond["evidence"]["y"] == 2.0
     assert cond["evidence"]["k"] == 3
     assert report["n"] == 100
-
-
-def test_default_alpha_choices():
-    seq = instantiate("pow:alpha=0.5")
-    assert default_alpha("a", seq)(4) == seq.a(4)
-    assert default_alpha("one", seq)(4) == 1.0
-    assert default_alpha("iterlog", seq, K=1)(100) == pytest.approx(
-        100.0 * math.log(100.0) / seq.a(100))
-    with pytest.raises(DomainError):
-        default_alpha("nope", seq)
 
 
 # --- export ----------------------------------------------------------------

@@ -16,7 +16,7 @@ from jacobi_spectra import (
     parse_family,
     render_family,
 )
-from jacobi_spectra.sequences import load_table
+from jacobi_spectra.sequences import _first_iterlog_valid, load_table
 
 
 # --- parsing ---------------------------------------------------------------
@@ -239,6 +239,27 @@ def test_iterlog_g_basics():
         iterlog_g(-1, 10.0)
 
 
+def _iterlog_valid(K, n):
+    try:
+        return iterlog_g(K, float(n)) > 0.0
+    except DomainError:
+        return False
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 4])
+def test_first_iterlog_valid_is_the_first_valid_index(K):
+    n = _first_iterlog_valid(K)
+    assert _iterlog_valid(K, n)
+    assert n == 1 or not _iterlog_valid(K, n - 1)
+    if K <= 3:  # small enough to scan every index below
+        assert not any(_iterlog_valid(K, m) for m in range(1, n))
+
+
+def test_first_iterlog_valid_overflow_is_domain_error():
+    with pytest.raises(DomainError):
+        _first_iterlog_valid(5)
+
+
 @pytest.mark.parametrize("K", [1, 2, 3])
 @pytest.mark.parametrize("x", [100.0, 10_000.0])
 def test_iterlog_g_prime_finite_difference(K, x):
@@ -255,8 +276,8 @@ def test_load_table_sorts_and_defaults_b(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("n,a\n1,2.0\n0,1.0\n2,3.0\n")
     seq = load_table(str(p))
-    assert seq.a_array(3) == [1.0, 2.0, 3.0]
-    assert seq.b_array(3) == [0.0, 0.0, 0.0]
+    assert seq.a_array(3).tolist() == [1.0, 2.0, 3.0]
+    assert seq.b_array(3).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_load_table_empty_is_error(tmp_path):

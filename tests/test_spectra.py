@@ -46,6 +46,10 @@ def test_truncate_validation():
         truncate(instantiate("const"), 0)
     with pytest.raises(DomainError):
         Truncation(np.array([0.0, 0.0]), np.array([-1.0]))
+    with pytest.raises(DomainError):
+        Truncation(np.array([0.0, np.inf]), np.array([1.0]))
+    with pytest.raises(DomainError):
+        Truncation(np.array([0.0, 0.0]), np.array([np.nan]))
 
 
 def test_gershgorin_contains_spectrum():

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from jacobi_spectra import (
     DomainError,
+    ParseError,
     bd_check_theorem_51,
     bd_interleaved,
     bd_square_root_route,
@@ -215,6 +216,8 @@ def test_theorem_51_checker_fixtures():
 def test_parse_rates_rejects_unknown():
     with pytest.raises(DomainError):
         parse_rates("lam=cubic,mu=linear")
+    with pytest.raises(ParseError):
+        parse_rates("lam=linear,mu=linear,zz=1")
 
 
 def test_parse_rates_strips_prefix():
