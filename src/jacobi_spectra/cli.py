@@ -29,6 +29,7 @@ Exit codes: 0 success (including failing verdicts), 2 spec/usage errors,
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, asdict
@@ -73,12 +74,26 @@ def _resolve_alpha(choice, seq):
         return WeightSequence.ones()
     if choice.startswith("iterlog"):
         _, _, k = choice.partition(":")
-        return WeightSequence.iterlog_weight(seq, int(k) if k else 1)
+        try:
+            K = int(k) if k else 1
+        except ValueError:
+            raise ParseError("iterlog depth must be an integer, got %r"
+                             % k) from None
+        return WeightSequence.iterlog_weight(seq, K)
     if choice.startswith("table:"):
         path = choice[len("table:"):]
-        with open(path) as fh:
-            values = [float(line.split(",")[-1]) for line in fh
-                      if line.strip() and not line[0].isalpha()]
+        try:
+            with open(path) as fh:
+                lines = [line for line in fh
+                         if line.strip() and not line[0].isalpha()]
+        except OSError as exc:
+            raise ParseError("cannot read alpha table %r: %s"
+                             % (path, exc.strerror or exc)) from None
+        try:
+            values = [float(line.split(",")[-1].strip()) for line in lines]
+        except ValueError as exc:
+            raise ParseError("malformed alpha table %r: %s"
+                             % (path, exc)) from None
         return WeightSequence.from_table(values)
     raise ParseError("unknown alpha choice %r" % choice)
 
@@ -210,6 +225,9 @@ def cmd_spectrum(args):
         except ValueError:
             raise ParseError("--window must be x_lo,x_hi, got %r"
                              % args.window) from None
+        if not all(map(math.isfinite, window + (args.bin,))):
+            raise ParseError("--window and --bin must be finite, got %r and %r"
+                             % (args.window, args.bin))
         rows = spectra.density_report(seq, args.size, window, args.bin)
         path = os.path.join(outdir, "density.csv")
         spectra.write_density_csv(path, rows)

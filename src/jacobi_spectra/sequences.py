@@ -167,7 +167,14 @@ class WeightSequence:
     @classmethod
     def from_table(cls, values, name="table"):
         values = [float(v) for v in values]
-        return cls(values.__getitem__, name=name)
+
+        def fn(n):
+            if n >= len(values):
+                raise DomainError("weight table %r has %d entries, alpha(%d) "
+                                  "requested" % (name, len(values), n))
+            return values[n]
+
+        return cls(fn, name=name)
 
     @classmethod
     def iterlog_weight(cls, seq, K, cutoff=None):
@@ -468,7 +475,11 @@ def load_table(path):
                          % (path, exc.strerror or exc)) from None
     if not rows:
         raise DomainError("empty sequence table %r" % path)
-    rows.sort(key=lambda r: int(r[0]))
-    a_values = [float(r[1]) for r in rows]
-    b_values = [float(r[2]) if len(r) > 2 else 0.0 for r in rows]
+    try:
+        rows.sort(key=lambda r: int(r[0]))
+        a_values = [float(r[1]) for r in rows]
+        b_values = [float(r[2]) if len(r) > 2 else 0.0 for r in rows]
+    except (ValueError, IndexError) as exc:
+        raise ParseError("malformed sequence table %r: %s"
+                         % (path, exc)) from None
     return SequencePair.from_table(a_values, b_values, name="table:%s" % path)

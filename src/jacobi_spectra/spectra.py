@@ -20,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import _elementwise
 from .errors import DomainError
-from .recurrence import poly_eval
+# unused here; perfbench/tracing.py patches spectra.poly_eval
+from .recurrence import poly_eval  # noqa: F401
 
 __all__ = [
     "Truncation",
@@ -99,11 +101,11 @@ def _sturm_counts_vec(diag, off2, shifts, pivmin):
     """Sturm counts for a vector of shifts simultaneously."""
     shifts = np.asarray(shifts, dtype=float)
     d = diag[0] - shifts
-    d = np.where(np.abs(d) < pivmin, -pivmin, d)
+    d[np.abs(d) < pivmin] = -pivmin
     count = (d < 0.0).astype(np.int64)
-    for i in range(1, len(diag)):
-        d = (diag[i] - shifts) - off2[i - 1] / d
-        d = np.where(np.abs(d) < pivmin, -pivmin, d)
+    for b_i, e2 in zip(map(float, diag[1:]), map(float, off2)):
+        d = (b_i - shifts) - e2 / d
+        d[np.abs(d) < pivmin] = -pivmin
         count += d < 0.0
     return count
 
@@ -169,13 +171,19 @@ def density_report(seq, order, window, bin_width):
     Counts come from Sturm-count differences at bin edges; no eigensolve.
     Returns a list of (bin_lo, bin_hi, count).
     """
+    x_lo, x_hi = float(window[0]), float(window[1])
+    if not all(map(math.isfinite, (x_lo, x_hi, bin_width))):
+        raise DomainError("window and bin width must be finite")
     if bin_width <= 0.0:
         raise DomainError("bin width must be positive")
-    x_lo, x_hi = float(window[0]), float(window[1])
     if x_hi <= x_lo:
         return []
+    bins = (x_hi - x_lo) / bin_width - 1e-12
+    if not math.isfinite(bins):
+        raise DomainError("window width / bin width = %r is not a bin count"
+                          % bins)
     t = truncate(seq, order)
-    n_bins = int(math.ceil((x_hi - x_lo) / bin_width - 1e-12))
+    n_bins = int(math.ceil(bins))
     edges = x_lo + bin_width * np.arange(n_bins + 1)
     if t.order == 1:
         counts = np.array([int(t.diag[0] < e) for e in edges])
@@ -187,25 +195,64 @@ def density_report(seq, order, window, bin_width):
     ]
 
 
-def _gauss_weights(t, nodes):
-    """Christoffel weights 1 / sum_j p_j(x_k)**2 from the polynomial trace."""
-    from .sequences import SequencePair
+def _math_map(fn, *arrays):
+    """A ``math`` function applied elementwise to float arrays.
 
-    # a(order-1) is never part of p_0..p_{order-1}; pad it so the
-    # propagation pair at the last index is well-defined
-    seq = SequencePair(
-        lambda n: t.offdiag[n] if n < t.order - 1 else 1.0,
-        lambda n: t.diag[n], name="truncation", length=t.order,
-    )
-    weights = np.empty(len(nodes))
-    for k, x in enumerate(nodes):
-        if t.order == 1:
-            weights[k] = 1.0
-            continue
-        trace = poly_eval(seq, x, t.order - 1)
-        log_sum = np.logaddexp.reduce(2.0 * trace.log_abs)
-        weights[k] = math.exp(-log_sum)
-    return weights
+    Iterating a memoryview yields Python floats without the list that
+    ``.tolist()`` would build.
+    """
+    return _elementwise(fn, *map(memoryview, arrays))
+
+
+def _twice_log_abs(x, logscale):
+    """2 log|u| for u = x exp(logscale), -inf where x is an exact zero."""
+    abs_x = np.abs(x)
+    zero = abs_x == 0.0
+    abs_x[zero] = 1.0
+    out = _math_map(math.log, abs_x)
+    out += logscale
+    out[zero] = -np.inf
+    out *= 2.0
+    return out
+
+
+def _gauss_weights(t, nodes):
+    """Christoffel weights 1 / sum_j p_j(x_k)**2 for all nodes in one pass.
+
+    The loop runs over the degree n with the nodes as a vector; each step
+    is the log-scaled recurrence of :func:`recurrence.propagate`, which
+    keeps (p_n, p_{n+1}) on the unit circle and carries the log of its
+    magnitude apart, so nothing overflows.  ``hypot``, ``log`` and ``exp``
+    are the ``math`` functions applied elementwise because numpy's
+    versions differ in the last bit for some inputs: with them every
+    weight is bit-identical to the scalar recurrence run node by node.
+    The sum of squares is folded into a running ``logaddexp`` in order of
+    n, as ``np.logaddexp.reduce`` folds a polynomial trace, so no
+    (N, nodes) array is stored.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    if t.order == 1:
+        return np.ones(len(nodes))
+    # a(N-1) is never part of p_0..p_{N-1}; pad it so the pair at the
+    # last index is well-defined
+    a = np.concatenate((t.offdiag, [1.0]))
+    b = t.diag
+    x, y = np.ones(len(nodes)), (nodes - b[0]) / a[0]
+    r = _math_map(math.hypot, x, y)
+    x /= r
+    y /= r
+    logscale = _math_map(math.log, r)
+    log_sum = _twice_log_abs(x, logscale)
+    for n in range(1, t.order):
+        # a(n) p(n+1) = (lam - b(n)) p(n) - a(n-1) p(n-1), scale-free
+        y_new = ((nodes - b[n]) * y - a[n - 1] * x) / a[n]
+        r = _math_map(math.hypot, y, y_new)
+        y /= r
+        y_new /= r
+        x, y = y, y_new
+        logscale += _math_map(math.log, r)
+        log_sum = np.logaddexp(log_sum, _twice_log_abs(x, logscale))
+    return _math_map(lambda v: math.exp(-v), log_sum)
 
 
 def gauss_measure(t, tol=None):

@@ -111,6 +111,15 @@ def test_check_theorem_43_deep_K_exits_3_quickly(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# table files written by the test below, by name
+TABLES = {
+    "bad_number": "0,1\n1,x\n",
+    "bad_index": "0,1\nx,1\n",
+    "one_column": "0,1\n1\n",
+    "short": "0,1\n1,1\n2,1\n",
+}
+
+
 @pytest.mark.parametrize("argv, code", [
     (["spectrum", "--seq", "const", "--size", "10", "--window=1",
       "--bin", "0.5"], 2),
@@ -118,10 +127,32 @@ def test_check_theorem_43_deep_K_exits_3_quickly(tmp_path, capsys):
     (["spectrum", "--seq", "pow:alpha=400", "--size", "10"], 3),
     (["check", "--theorem", "51", "--bd", "lam=linear,mu=linear,zz=1",
       "--n", "200"], 2),
+    (["spectrum", "--seq", "const", "--size", "10", "--window=nan,1",
+      "--bin", "0.5"], 2),
+    (["spectrum", "--seq", "const", "--size", "10", "--window=0,1",
+      "--bin", "nan"], 2),
+    (["spectrum", "--seq", "const", "--size", "10", "--window=0,inf",
+      "--bin", "0.5"], 2),
+    (["spectrum", "--seq", "const", "--size", "10", "--window=0,1e300",
+      "--bin", "1e-300"], 3),
+    (["check", "--theorem", "A", "--seq", "const", "--alpha",
+      "table:{missing}", "--n", "200"], 2),
+    (["check", "--theorem", "A", "--seq", "const", "--alpha", "iterlog:x",
+      "--n", "200"], 2),
+    (["check", "--theorem", "A", "--seq", "const", "--alpha",
+      "table:{bad_number}", "--n", "200"], 2),
+    (["check", "--theorem", "A", "--seq", "const", "--alpha",
+      "table:{short}", "--n", "200"], 3),
+    (["check", "--theorem", "B", "--seq", "table:{bad_number}", "--n", "200"], 2),
+    (["check", "--theorem", "B", "--seq", "table:{bad_index}", "--n", "200"], 2),
+    (["check", "--theorem", "B", "--seq", "table:{one_column}", "--n", "200"], 2),
 ])
 def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
-    missing = str(tmp_path / "missing.csv")
-    argv = [a.format(missing=missing) for a in argv]
+    paths = {"missing": str(tmp_path / "missing.csv")}
+    for name, text in TABLES.items():
+        paths[name] = str(tmp_path / (name + ".csv"))
+        (tmp_path / (name + ".csv")).write_text(text)
+    argv = [a.format(**paths) for a in argv]
     assert run(argv + ["--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")

@@ -16,8 +16,12 @@ from jacobi_spectra import (
     sturm_count,
     truncate,
 )
+from jacobi_spectra.sequences import SequencePair
 from jacobi_spectra.spectra import (
     Truncation,
+    _gauss_weights,
+    _pivmin,
+    _sturm_counts_vec,
     write_density_csv,
     write_spectrum_csv,
 )
@@ -96,6 +100,34 @@ def test_sturm_count_matches_scipy():
             assert sturm_count(t, float(x)) == int(np.sum(eigs < x))
 
 
+def _sturm_counts_index_loop(diag, off2, shifts, pivmin):
+    """Reference Sturm sweep: index loop, np.where pivot substitution."""
+    shifts = np.asarray(shifts, dtype=float)
+    d = diag[0] - shifts
+    d = np.where(np.abs(d) < pivmin, -pivmin, d)
+    count = (d < 0.0).astype(np.int64)
+    for i in range(1, len(diag)):
+        d = (diag[i] - shifts) - off2[i - 1] / d
+        d = np.where(np.abs(d) < pivmin, -pivmin, d)
+        count += d < 0.0
+    return count
+
+
+def test_sturm_counts_match_index_loop():
+    cases = [truncate(instantiate(text), 40)
+             for text in CATALOG + ["paired:eps=0.01,inner=pow,alpha=1"]]
+    # ones on both diagonals: at shift 0 the pivots run 1, 0, 1, 1, 0, ...
+    cases += [Truncation(np.ones(k), np.ones(k - 1)) for k in (2, 5, 8)]
+    for t in cases:
+        off2 = t.offdiag ** 2
+        # a shift equal to diag[0] makes the first pivot exactly zero
+        shifts = np.concatenate(
+            [t.diag, [0.0], np.linspace(*t.gershgorin(), 61)])
+        got = _sturm_counts_vec(t.diag, off2, shifts, _pivmin(t))
+        expected = _sturm_counts_index_loop(t.diag, off2, shifts, _pivmin(t))
+        assert np.array_equal(got, expected)
+
+
 def test_sturm_count_monotone_through_exact_eigenvalue():
     t = Truncation(np.zeros(3), np.ones(2))  # eigenvalues -sqrt2, 0, sqrt2
     xs = [-2.0, -math.sqrt(2.0), -1.0, 0.0, 1.0, math.sqrt(2.0), 2.0]
@@ -168,6 +200,17 @@ def test_density_empty_window():
         density_report(instantiate("const"), 10, (0.0, 1.0), 0.0)
 
 
+@pytest.mark.parametrize("window, bin_width", [
+    ((math.nan, 1.0), 0.5),
+    ((0.0, 1.0), math.nan),
+    ((0.0, math.inf), 0.5),
+    ((0.0, 1e300), 1e-300),  # the bin count overflows binary64
+])
+def test_density_rejects_nonfinite_inputs(window, bin_width):
+    with pytest.raises(DomainError):
+        density_report(instantiate("const"), 10, window, bin_width)
+
+
 # --- Gauss measure ---------------------------------------------------------
 
 
@@ -189,6 +232,39 @@ def test_gauss_moments_match_matrix_entries():
         assert np.sum(w * x) == pytest.approx(seq.b(0), abs=1e-10 * scale)
         assert np.sum(w * x * x) == pytest.approx(
             seq.b(0) ** 2 + seq.a(0) ** 2, abs=1e-10 * scale ** 2)
+
+
+def _per_node_gauss_weights(t, nodes):
+    """Reference weights: one scalar poly_eval per node."""
+    seq = SequencePair(
+        lambda n: t.offdiag[n] if n < t.order - 1 else 1.0,
+        lambda n: t.diag[n], name="truncation", length=t.order,
+    )
+    weights = np.empty(len(nodes))
+    for k, x in enumerate(nodes):
+        if t.order == 1:
+            weights[k] = 1.0
+            continue
+        trace = poly_eval(seq, x, t.order - 1)
+        weights[k] = math.exp(-np.logaddexp.reduce(2.0 * trace.log_abs))
+    return weights
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 8, 60])
+@pytest.mark.parametrize("text", [
+    "const", "pow:alpha=0.5", "pow:alpha=2",
+    "paired:eps=0.01,inner=pow,alpha=1", "chihara",
+])
+def test_gauss_weights_bitwise_match_per_node_recurrence(text, order):
+    t = truncate(instantiate(text), order)
+    # 0.0 makes p_1 an exact zero for const; far nodes underflow to weight 0
+    nodes = np.concatenate(
+        [eigenvalues(t).eigenvalues, [0.0, -0.0, 1e3, -1e6, 1e150]])
+    got = _gauss_weights(t, nodes)
+    expected = _per_node_gauss_weights(t, nodes)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    if order == 60:
+        assert np.any(got == 0.0)
 
 
 def test_gauss_discrete_orthonormality():
