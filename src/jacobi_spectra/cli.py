@@ -34,10 +34,13 @@ import os
 import sys
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 from . import __version__
-from .errors import DomainError, JacobiError, ParseError
+from .errors import JacobiError, ParseError
 from . import diagnostics, recurrence, spectra, transforms
-from .sequences import WeightSequence, instantiate, parse_family
+from .sequences import (WeightSequence, _read_lines, instantiate,
+                        parse_family)
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
@@ -82,13 +85,8 @@ def _resolve_alpha(choice, seq):
         return WeightSequence.iterlog_weight(seq, K)
     if choice.startswith("table:"):
         path = choice[len("table:"):]
-        try:
-            with open(path) as fh:
-                lines = [line for line in fh
-                         if line.strip() and not line[0].isalpha()]
-        except OSError as exc:
-            raise ParseError("cannot read alpha table %r: %s"
-                             % (path, exc.strerror or exc)) from None
+        lines = [line for line in _read_lines(path, "alpha table")
+                 if line.strip() and not line[0].isalpha()]
         try:
             values = [float(line.split(",")[-1].strip()) for line in lines]
         except ValueError as exc:
@@ -101,10 +99,11 @@ def _resolve_alpha(choice, seq):
 def _resolve_init(text, seq, lam):
     if text is None or text == "p":
         return recurrence.poly_init(seq, lam)
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError("init must be 'p' or 'u0,u1', got %r" % text)
-    return recurrence.EigvecInit(float(parts[0]), float(parts[1]))
+    try:
+        u0, u1 = map(float, text.split(","))
+    except ValueError:
+        raise ParseError("init must be 'p' or 'u0,u1', got %r" % text) from None
+    return recurrence.EigvecInit(u0, u1)
 
 
 def _resolve_rates(args):
@@ -123,9 +122,7 @@ def _ensure_outdir(path):
 
 
 def _write_config(outdir, cfg):
-    with open(os.path.join(outdir, "config.json"), "w") as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _emit_json(os.path.join(outdir, "config.json"), asdict(cfg))
 
 
 def _lam_tag(lam):
@@ -145,21 +142,21 @@ def _emit_json(path_or_none, payload):
 
 
 def cmd_analyze(args):
-    spec = parse_family(args.seq)
-    seq = instantiate(spec)
-    lams = args.lambdas
+    seq = instantiate(parse_family(args.seq))
+    lams = _parse_lambdas(args.lambdas)
     cfg = RunConfig(command="analyze", seq=args.seq, lambdas=lams, n=args.n,
                     alpha=args.alpha or "a", init=args.init or "p",
-                    format=args.format, out=args.out)
+                    out=args.out)
     outdir = _ensure_outdir(args.out or ".")
     alpha = _resolve_alpha(args.alpha, seq)
     for lam in lams:
         init = _resolve_init(args.init, seq, lam)
         tag = _lam_tag(lam)
-        recurrence.write_trace_csv(
-            os.path.join(outdir, "eigvec_lambda_%s.csv" % tag),
-            recurrence.propagate(seq, lam, init, args.n))
+        # one propagation per lam: the eigenvector trace is written from
+        # the states the diagnostics were computed from
         trace = diagnostics.s_sequence(seq, alpha, lam, init, args.n)
+        recurrence.write_trace_csv(
+            os.path.join(outdir, "eigvec_lambda_%s.csv" % tag), trace.states)
         diagnostics.write_trace_csv(
             os.path.join(outdir, "diagnostics_lambda_%s.csv" % tag), trace)
     _write_config(outdir, cfg)
@@ -214,7 +211,7 @@ def cmd_spectrum(args):
     seq = instantiate(parse_family(args.seq))
     cfg = RunConfig(command="spectrum", seq=args.seq, size=args.size,
                     window=args.window, bin=args.bin, weights=args.weights,
-                    tol=args.tol, format=args.format, out=args.out)
+                    tol=args.tol, out=args.out)
     outdir = _ensure_outdir(args.out or ".")
     if args.window is not None:
         if args.bin is None:
@@ -241,32 +238,25 @@ def cmd_spectrum(args):
 
 
 def cmd_transform(args):
-    import csv as _csv
-
     cfg = RunConfig(command="transform", seq=args.seq,
                     rates=args.rates or args.bd, n=args.n,
                     theorem=None, out=args.out)
     outdir = _ensure_outdir(args.out or ".")
-    kind = args.kind
-    path = os.path.join(outdir, "%s.csv" % kind)
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        if kind == "bd":
-            rates = _resolve_rates(args)
-            pair, pi = transforms.bd_to_jacobi(rates)
-            writer.writerow(["n", "abar", "bbar", "log_pi"])
-            for n in range(args.n):
-                writer.writerow([n, "%.17g" % pair.a(n), "%.17g" % pair.b(n),
-                                 "%.17g" % pi.log_pi(n)])
-        else:
-            seq = instantiate(parse_family(args.seq))
-            derived = {"flip": transforms.flip,
-                       "even": transforms.square_even,
-                       "odd": transforms.square_odd}[kind](seq)
-            writer.writerow(["n", "a", "b"])
-            for n in range(args.n):
-                writer.writerow([n, "%.17g" % derived.a(n),
-                                 "%.17g" % derived.b(n)])
+    kind, n = args.kind, args.n
+    if kind == "bd":
+        pair, pi = transforms.bd_to_jacobi(_resolve_rates(args))
+        header = ["n", "abar", "bbar", "log_pi"]
+        columns = [pair.a_array(n), pair.b_array(n),
+                   recurrence._elementwise(pi.log_pi, range(n))]
+    else:
+        seq = instantiate(parse_family(args.seq))
+        derived = {"flip": transforms.flip,
+                   "even": transforms.square_even,
+                   "odd": transforms.square_odd}[kind](seq)
+        header = ["n", "a", "b"]
+        columns = [derived.a_array(n), derived.b_array(n)]
+    recurrence._write_columns(os.path.join(outdir, "%s.csv" % kind), header,
+                              np.arange(n), *columns)
     _write_config(outdir, cfg)
     return EXIT_OK
 
@@ -275,10 +265,11 @@ def cmd_transform(args):
 
 
 def _parse_lambdas(values):
-    out = []
-    for chunk in values or []:
-        out.extend(float(v) for v in chunk.split(",") if v)
-    return out or [0.0]
+    try:
+        lams = [float(v) for chunk in values or [] for v in chunk.split(",") if v]
+    except ValueError:
+        raise ParseError("--lambda must be numbers, got %r" % values) from None
+    return lams or [0.0]
 
 
 def build_parser():
@@ -297,7 +288,6 @@ def build_parser():
     p.add_argument("--alpha", default="a",
                    help="weight choice: a | one | iterlog:K | table:FILE")
     p.add_argument("--init", default="p", help="'p' or 'u0,u1'")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_analyze)
 
@@ -320,7 +310,6 @@ def build_parser():
     p.add_argument("--bin", type=float)
     p.add_argument("--weights", action="store_true")
     p.add_argument("--tol", type=float)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_spectrum)
 
@@ -339,19 +328,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "lambdas"):
-        args.lambdas = _parse_lambdas(args.lambdas)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except JacobiError as exc:  # ParseError exits 2, DomainError and the rest 3
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_SPEC_ERROR
-    except DomainError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
-    except JacobiError as exc:  # pragma: no cover - catch-all
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
+        return EXIT_SPEC_ERROR if isinstance(exc, ParseError) else EXIT_DOMAIN_ERROR
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ are pass / fail / inconclusive with the thresholds documented in
 :class:`CheckerConfig`.
 """
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -31,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .recurrence import propagate, poly_init
+from .recurrence import (_elementwise, _state_rows, _write_columns,
+                         propagate, poly_init)
 from .sequences import _first_iterlog_valid, iterlog_g
 
 __all__ = [
@@ -63,16 +63,6 @@ def negative_part(x):
     return np.where(x < 0.0, -x, 0.0)
 
 
-def _elementwise(fn, *args):
-    """fn mapped over equal-length sequences, as a float array.
-
-    numpy's exp, log, hypot and power differ from the ``math`` functions
-    in the last bit for some inputs; computing those entries with ``math``
-    keeps every written number identical to the scalar definitions.
-    """
-    return np.fromiter(map(fn, *args), float, len(args[0]))
-
-
 # --- the S sequence --------------------------------------------------------
 
 
@@ -83,11 +73,13 @@ class DiagnosticsTrace:
     All S values are scale-free ratios S(n)/Shat(n); the raw magnitude is
     recoverable through ``log_shat`` while it stays representable.  ``F``
     is (S(n+1) - S(n))/S(n) and is NaN at its final index and wherever the
-    near-zero exclusion rule applied.
+    near-zero exclusion rule applied.  ``states`` is the propagation it
+    was computed from, which :func:`recurrence.write_trace_csv` writes.
     """
 
     lam: float
     n: np.ndarray
+    states: np.ndarray             # (N+1, 3) rows (x, y, logscale), n = 0..N
     s_over_shat: np.ndarray        # from the u(n), u(n+1) form
     s31_over_shat: np.ndarray      # from the u(n-1), u(n) form
     log_shat: np.ndarray
@@ -146,10 +138,7 @@ def s_sequence(seq, alpha, lam, init, n_max, f_exclusion=1e-12):
         raise DomainError("n_max must be >= 2")
     lam = float(lam)
     N = n_max
-    # rows n = 0..N of (x, y, logscale)
-    states = np.fromiter(((s.x, s.y, s.logscale)
-                          for s in propagate(seq, lam, init, N)),
-                         dtype=(float, 3), count=N + 1)
+    states = _state_rows(propagate(seq, lam, init, N), N + 1)
     x, y, logscale = states.T
     a = seq.a_array(N + 1)
     b = seq.b_array(N + 1)[1:]
@@ -181,6 +170,7 @@ def s_sequence(seq, alpha, lam, init, n_max, f_exclusion=1e-12):
     return DiagnosticsTrace(
         lam=lam,
         n=np.arange(1, N + 1),
+        states=states,
         s_over_shat=s32,
         s31_over_shat=s31,
         log_shat=log_shat,
@@ -643,17 +633,7 @@ def verdicts_to_json(verdicts, extra=None):
 
 def write_trace_csv(path, trace):
     """DiagnosticsTrace CSV: (n, S_over_Shat, F, sumFminus, sum_inv_a_alpha, wmin, wmax)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "S_over_Shat", "F", "sumFminus",
-                         "sum_inv_a_alpha", "wmin", "wmax"])
-        for i in range(len(trace.n)):
-            writer.writerow([
-                int(trace.n[i]),
-                "%.17g" % trace.s_over_shat[i],
-                "%.17g" % trace.F[i],
-                "%.17g" % trace.sum_F_minus[i],
-                "%.17g" % trace.sum_inv_a_alpha[i],
-                "%.17g" % trace.w_min[i],
-                "%.17g" % trace.w_max[i],
-            ])
+    _write_columns(path, ["n", "S_over_Shat", "F", "sumFminus",
+                          "sum_inv_a_alpha", "wmin", "wmax"],
+                   trace.n, trace.s_over_shat, trace.F, trace.sum_F_minus,
+                   trace.sum_inv_a_alpha, trace.w_min, trace.w_max)

@@ -19,7 +19,6 @@ polynomial values at lam = 0 for symmetric matrices) are representable:
 the corresponding coordinate is exactly 0.0.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -41,6 +40,61 @@ __all__ = [
 
 # exp(logscale) overflows binary64 past this
 _LOG_HUGE = math.log(np.finfo(float).max)
+
+
+def _elementwise(fn, *args):
+    """fn mapped over equal-length sequences or float arrays, as a float array.
+
+    numpy's exp, log, hypot and power differ from the ``math`` functions
+    in the last bit for some inputs; computing those entries with ``math``
+    keeps every written number identical to the scalar definitions.
+    Arrays are read through memoryviews, which yield Python floats without
+    the list that ``.tolist()`` would build.
+    """
+    args = [memoryview(v) if isinstance(v, np.ndarray) else v for v in args]
+    return np.fromiter(map(fn, *args), float, len(args[0]))
+
+
+def _sign(x):
+    """Sign of u = x exp(logscale): 0 at an exact zero, and -1 for NaN x."""
+    return np.where(x > 0.0, 1, np.where(x == 0.0, 0, -1))
+
+
+def _log_abs(x, logscale):
+    """log|u| for u = x exp(logscale), elementwise; -inf at an exact zero."""
+    abs_x = np.abs(x)
+    zero = abs_x == 0.0
+    abs_x[zero] = 1.0
+    out = _elementwise(math.log, abs_x)
+    out += logscale
+    out[zero] = -np.inf
+    return out
+
+
+def _state_rows(states, count=-1):
+    """A stream of :class:`PropagationState` as rows (x, y, logscale)."""
+    return np.fromiter(((s.x, s.y, s.logscale) for s in states),
+                       dtype=(float, 3), count=count)
+
+
+def _write_columns(path, header, *columns, blank=None):
+    """Equal-length array columns as CSV rows (CRLF, as ``csv.writer``).
+
+    The one place output numbers are formatted: integer columns as
+    integers, float columns with 17 significant digits.  Rows where the
+    boolean array ``blank`` is true leave their last cell empty.
+    """
+    specs = ["%d" if c.dtype.kind in "iu" else "%.17g" for c in columns]
+    row = ",".join(specs) + "\r\n"
+    rows = zip(*map(memoryview, columns))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        if blank is None:
+            fh.writelines(map(row.__mod__, rows))
+        else:
+            short = ",".join(specs[:-1]) + ",\r\n"
+            fh.writelines(short % r[:-1] if b else row % r
+                          for r, b in zip(rows, memoryview(blank)))
 
 
 @dataclass(frozen=True)
@@ -68,17 +122,10 @@ class PropagationState:
     y: float
     logscale: float
 
-    def u_n(self):
-        return self.x * math.exp(self.logscale)
-
-    def u_next(self):
-        return self.y * math.exp(self.logscale)
-
     def log_abs_u(self):
         """(sign, log|u(n)|); log is -inf at an exact zero."""
-        if self.x == 0.0:
-            return 0, float("-inf")
-        return (1 if self.x > 0 else -1), math.log(abs(self.x)) + self.logscale
+        x = np.array([self.x])
+        return int(_sign(x)[0]), float(_log_abs(x, self.logscale)[0])
 
 
 def poly_init(seq, lam):
@@ -135,9 +182,8 @@ class PolyTrace:
         return float(self.signs[n]) * math.exp(min(self.log_abs[n], _LOG_HUGE + 1))
 
     def values(self):
-        out = np.where(self.signs == 0, 0.0,
-                       self.signs * np.exp(np.minimum(self.log_abs, _LOG_HUGE + 1)))
-        return out
+        return np.where(self.signs == 0, 0.0,
+                        self.signs * np.exp(np.minimum(self.log_abs, _LOG_HUGE + 1)))
 
     def is_zero(self, n):
         return self.signs[n] == 0
@@ -147,16 +193,9 @@ def poly_eval(seq, lam, n_max):
     """Evaluate p(0)..p(n_max) at lam via log-scaled propagation."""
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    signs = np.empty(n_max + 1, dtype=np.int8)
-    log_abs = np.empty(n_max + 1, dtype=float)
-    init = poly_init(seq, lam)
-    for state in propagate(seq, lam, init, max(n_max, 1)):
-        if state.n > n_max:
-            break
-        s, la = state.log_abs_u()
-        signs[state.n] = s
-        log_abs[state.n] = la
-    return PolyTrace(lam, signs, log_abs)
+    x, _, logscale = _state_rows(
+        propagate(seq, lam, poly_init(seq, lam), max(n_max, 1)), n_max + 1).T
+    return PolyTrace(lam, _sign(x), _log_abs(x, logscale))
 
 
 def log_l2_partial_sums(log_abs):
@@ -180,7 +219,8 @@ def l2_partial_sums(trace, n_max=None):
     if isinstance(trace, PolyTrace):
         log_abs = trace.log_abs
     else:
-        log_abs = np.array([s.log_abs_u()[1] for s in trace], dtype=float)
+        x, _, logscale = _state_rows(trace).T
+        log_abs = _log_abs(x, logscale)
     if n_max is not None:
         if len(log_abs) < n_max + 1:
             raise DomainError("trace shorter than requested length")
@@ -189,14 +229,19 @@ def l2_partial_sums(trace, n_max=None):
 
 
 def write_trace_csv(path, states):
-    """Export a propagation run: columns (n, sign_u, log_abs_u, u_if_representable)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "sign_u", "log_abs_u", "u_if_representable"])
-        for state in states:
-            sign, log_abs = state.log_abs_u()
-            if sign != 0 and abs(log_abs) < _LOG_HUGE:
-                u_repr = "%.17g" % (sign * math.exp(log_abs))
-            else:
-                u_repr = "0" if sign == 0 else ""
-            writer.writerow([state.n, sign, "%.17g" % log_abs, u_repr])
+    """Export a propagation run: columns (n, sign_u, log_abs_u, u_if_representable).
+
+    ``states`` is the (N+1, 3) array of normalized states (x, y, logscale)
+    for n = 0..N, such as :attr:`DiagnosticsTrace.states`.  u is written
+    where exp(log|u|) is representable, as 0 at an exact zero, and left
+    empty otherwise.
+    """
+    x, logscale = states[:, 0], states[:, 2]
+    sign = _sign(x)
+    log_abs = _log_abs(x, logscale)
+    shown = (sign != 0) & (np.abs(log_abs) < _LOG_HUGE)
+    u = np.zeros(len(x))
+    u[shown] = sign[shown] * _elementwise(math.exp, log_abs[shown])
+    _write_columns(path, ["n", "sign_u", "log_abs_u", "u_if_representable"],
+                   np.arange(len(x)), sign, log_abs, u,
+                   blank=(sign != 0) & ~shown)

@@ -461,18 +461,22 @@ def instantiate(spec):
     raise ParseError("unknown family %r" % fam)
 
 
-def load_table(path):
-    """Read a finite sequence table from CSV with columns n,a[,b]."""
-    rows = []
+def _read_lines(path, what):
+    """The lines of a table file; an unreadable or non-UTF-8 one is a ParseError."""
     try:
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].strip().lower() in ("n", "#", ""):
-                    continue
-                rows.append(row)
+            return fh.readlines()
     except OSError as exc:
-        raise ParseError("cannot read sequence table %r: %s"
-                         % (path, exc.strerror or exc)) from None
+        raise ParseError("cannot read %s %r: %s"
+                         % (what, path, exc.strerror or exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError("malformed %s %r: %s" % (what, path, exc)) from None
+
+
+def load_table(path):
+    """Read a finite sequence table from CSV with columns n,a[,b]."""
+    rows = [row for row in csv.reader(_read_lines(path, "sequence table"))
+            if row and row[0].strip().lower() not in ("n", "#", "")]
     if not rows:
         raise DomainError("empty sequence table %r" % path)
     try:

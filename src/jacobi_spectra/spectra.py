@@ -14,14 +14,13 @@ gaps (the alternating power family with its gap (-1, 1) is the standard
 caution fixture), so no claims beyond graded evidence are made here.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import _elementwise
 from .errors import DomainError
+from .recurrence import _elementwise, _log_abs, _write_columns
 # unused here; perfbench/tracing.py patches spectra.poly_eval
 from .recurrence import poly_eval  # noqa: F401
 
@@ -38,6 +37,10 @@ __all__ = [
 ]
 
 _SAFE_MIN = np.finfo(float).tiny / np.finfo(float).eps
+# at most this many bisection sweeps, each halving every bracket
+_MAX_SWEEPS = 110
+# at most this many density_report bins (~15 MB of rows, ~5 MB of CSV)
+_MAX_BINS = 100_000
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,11 @@ class Truncation:
         return len(self.diag)
 
     def gershgorin(self):
-        """(lower, upper) bounds containing every eigenvalue."""
+        """(lower, upper) bounds containing every eigenvalue; inf on overflow."""
         a = np.concatenate(([0.0], self.offdiag, [0.0]))
-        radius = a[:-1] + a[1:]
-        return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
+        with np.errstate(over="ignore"):
+            radius = a[:-1] + a[1:]
+            return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
 
     def dense(self):
         m = np.diag(self.diag)
@@ -135,25 +139,29 @@ def eigenvalues(t, tol=None, weights=False):
     (see :func:`gauss_measure`).
     """
     glo, ghi = t.gershgorin()
+    if not math.isfinite(ghi - glo):
+        raise DomainError("Gershgorin bounds overflow: [%r, %r]" % (glo, ghi))
     radius = max(abs(glo), abs(ghi), 1.0)
     if tol is None:
         tol = 1e-12 * radius
-    if not tol > 0.0:
-        raise DomainError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tolerance must be positive and finite")
     N = t.order
     if N == 1:
         eigs = np.array([t.diag[0]])
     else:
         off2 = t.offdiag ** 2
         pivmin = _pivmin(t)
-        span = (ghi - glo) + 2e-6 * max(ghi - glo, 1.0)
-        lo = np.full(N, glo - 1e-6 * max(ghi - glo, 1.0))
-        hi = np.full(N, ghi + 1e-6 * max(ghi - glo, 1.0))
+        pad = 1e-6 * max(ghi - glo, 1.0)
+        span = (ghi - glo) + 2.0 * pad
+        lo, hi = np.full(N, glo - pad), np.full(N, ghi + pad)
         target = np.arange(1, N + 1)
         # fixed step count: intervals halve each sweep; looping on the
         # interval width instead can spin forever once hi - lo reaches the
-        # double-precision spacing at large magnitudes
-        steps = min(110, max(1, int(math.ceil(math.log2(span / tol))) + 2))
+        # double-precision spacing at large magnitudes; the ratio is clamped
+        # so that a subnormal tol does not take log2 to inf
+        ratio = min(span / tol, 2.0 ** _MAX_SWEEPS)
+        steps = min(_MAX_SWEEPS, max(1, int(math.ceil(math.log2(ratio))) + 2))
         for _ in range(steps):
             mid = 0.5 * (lo + hi)
             counts = _sturm_counts_vec(t.diag, off2, mid, pivmin)
@@ -169,7 +177,8 @@ def density_report(seq, order, window, bin_width):
     """Eigenvalue counts of the truncation per bin over [x_lo, x_hi).
 
     Counts come from Sturm-count differences at bin edges; no eigensolve.
-    Returns a list of (bin_lo, bin_hi, count).
+    Returns a list of (bin_lo, bin_hi, count).  More than ``_MAX_BINS``
+    bins is a :class:`DomainError`.
     """
     x_lo, x_hi = float(window[0]), float(window[1])
     if not all(map(math.isfinite, (x_lo, x_hi, bin_width))):
@@ -182,8 +191,10 @@ def density_report(seq, order, window, bin_width):
     if not math.isfinite(bins):
         raise DomainError("window width / bin width = %r is not a bin count"
                           % bins)
-    t = truncate(seq, order)
     n_bins = int(math.ceil(bins))
+    if n_bins > _MAX_BINS:
+        raise DomainError("%d bins exceed the limit of %d" % (n_bins, _MAX_BINS))
+    t = truncate(seq, order)
     edges = x_lo + bin_width * np.arange(n_bins + 1)
     if t.order == 1:
         counts = np.array([int(t.diag[0] < e) for e in edges])
@@ -193,27 +204,6 @@ def density_report(seq, order, window, bin_width):
         (float(edges[i]), float(edges[i + 1]), int(counts[i + 1] - counts[i]))
         for i in range(n_bins)
     ]
-
-
-def _math_map(fn, *arrays):
-    """A ``math`` function applied elementwise to float arrays.
-
-    Iterating a memoryview yields Python floats without the list that
-    ``.tolist()`` would build.
-    """
-    return _elementwise(fn, *map(memoryview, arrays))
-
-
-def _twice_log_abs(x, logscale):
-    """2 log|u| for u = x exp(logscale), -inf where x is an exact zero."""
-    abs_x = np.abs(x)
-    zero = abs_x == 0.0
-    abs_x[zero] = 1.0
-    out = _math_map(math.log, abs_x)
-    out += logscale
-    out[zero] = -np.inf
-    out *= 2.0
-    return out
 
 
 def _gauss_weights(t, nodes):
@@ -238,21 +228,24 @@ def _gauss_weights(t, nodes):
     a = np.concatenate((t.offdiag, [1.0]))
     b = t.diag
     x, y = np.ones(len(nodes)), (nodes - b[0]) / a[0]
-    r = _math_map(math.hypot, x, y)
+    r = _elementwise(math.hypot, x, y)
     x /= r
     y /= r
-    logscale = _math_map(math.log, r)
-    log_sum = _twice_log_abs(x, logscale)
+    logscale = _elementwise(math.log, r)
+    log_sum = _log_abs(x, logscale)
+    log_sum *= 2.0
     for n in range(1, t.order):
         # a(n) p(n+1) = (lam - b(n)) p(n) - a(n-1) p(n-1), scale-free
         y_new = ((nodes - b[n]) * y - a[n - 1] * x) / a[n]
-        r = _math_map(math.hypot, y, y_new)
+        r = _elementwise(math.hypot, y, y_new)
         y /= r
         y_new /= r
         x, y = y, y_new
-        logscale += _math_map(math.log, r)
-        log_sum = np.logaddexp(log_sum, _twice_log_abs(x, logscale))
-    return _math_map(lambda v: math.exp(-v), log_sum)
+        logscale += _elementwise(math.log, r)
+        log_sq = _log_abs(x, logscale)
+        log_sq *= 2.0
+        log_sum = np.logaddexp(log_sum, log_sq)
+    return _elementwise(lambda v: math.exp(-v), log_sum)
 
 
 def gauss_measure(t, tol=None):
@@ -262,23 +255,16 @@ def gauss_measure(t, tol=None):
 
 def write_spectrum_csv(path, spectrum):
     """CSV export: (k, eigenvalue[, weight])."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if spectrum.weights is None:
-            writer.writerow(["k", "eigenvalue"])
-            for k, x in enumerate(spectrum.eigenvalues):
-                writer.writerow([k, "%.17g" % x])
-        else:
-            writer.writerow(["k", "eigenvalue", "weight"])
-            for k, (x, w) in enumerate(zip(spectrum.eigenvalues,
-                                           spectrum.weights)):
-                writer.writerow([k, "%.17g" % x, "%.17g" % w])
+    header = ["k", "eigenvalue"]
+    columns = [np.arange(len(spectrum.eigenvalues)), spectrum.eigenvalues]
+    if spectrum.weights is not None:
+        header.append("weight")
+        columns.append(spectrum.weights)
+    _write_columns(path, header, *columns)
 
 
 def write_density_csv(path, rows):
     """CSV export: (bin_lo, bin_hi, count)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for lo, hi, count in rows:
-            writer.writerow(["%.17g" % lo, "%.17g" % hi, count])
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    _write_columns(path, ["bin_lo", "bin_hi", "count"], table[:, 0],
+                   table[:, 1], table[:, 2].astype(np.int64))

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainError, ParseError
 from . import diagnostics as _diag
 from .diagnostics import ConditionVerdict, overall_verdict
-from .sequences import SequencePair
+from .sequences import SequencePair, _read_lines
 
 __all__ = [
     "BirthDeathRates",
@@ -290,14 +290,13 @@ def parse_rates(text):
 
 def load_rates_csv(path):
     """Rates from CSV with columns (n, lambda, mu)."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip().isdigit():
-                continue
-            rows.append((int(row[0]), float(row[1]), float(row[2])))
+    lines = _read_lines(path, "rates table")
+    try:
+        rows = sorted((int(r[0]), float(r[1]), float(r[2]))
+                      for r in csv.reader(lines) if r and r[0].strip().isdigit())
+    except (ValueError, IndexError) as exc:
+        raise ParseError("malformed rates table %r: %s" % (path, exc)) from None
     if not rows:
         raise DomainError("empty rates table %r" % path)
-    rows.sort()
     return BirthDeathRates.from_tables(
         [r[1] for r in rows], [r[2] for r in rows], name="table:%s" % path)

@@ -117,6 +117,9 @@ TABLES = {
     "bad_index": "0,1\nx,1\n",
     "one_column": "0,1\n1\n",
     "short": "0,1\n1,1\n2,1\n",
+    "huge": "0,1e308\n1,1e308\n2,1e308\n",
+    "rates_short_row": "0,1,0\n1,2\n",
+    "rates_bad_number": "0,1,0\n1,2,x\n",
 }
 
 
@@ -146,9 +149,26 @@ TABLES = {
     (["check", "--theorem", "B", "--seq", "table:{bad_number}", "--n", "200"], 2),
     (["check", "--theorem", "B", "--seq", "table:{bad_index}", "--n", "200"], 2),
     (["check", "--theorem", "B", "--seq", "table:{one_column}", "--n", "200"], 2),
+    (["analyze", "--seq", "const", "--lambda", "abc", "--n", "20"], 2),
+    (["analyze", "--seq", "const", "--init", "x,y", "--n", "20"], 2),
+    (["analyze", "--seq", "const", "--init", "1,2,3", "--n", "20"], 2),
+    (["check", "--theorem", "51", "--rates", "{rates_short_row}",
+      "--n", "200"], 2),
+    (["transform", "bd", "--rates", "{rates_bad_number}", "--n", "5"], 2),
+    (["check", "--theorem", "51", "--rates", "{directory}", "--n", "200"], 2),
+    (["spectrum", "--seq", "const", "--size", "10", "--tol", "inf"], 3),
+    (["spectrum", "--seq", "chihara", "--size", "5", "--window=0,1e12",
+      "--bin", "1"], 3),
+    (["spectrum", "--seq", "table:{huge}", "--size", "3"], 3),
+    (["check", "--theorem", "B", "--seq", "table:{binary}", "--n", "200"], 2),
+    (["check", "--theorem", "A", "--seq", "const", "--alpha",
+      "table:{binary}", "--n", "200"], 2),
+    (["check", "--theorem", "51", "--rates", "{binary}", "--n", "200"], 2),
 ])
 def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
-    paths = {"missing": str(tmp_path / "missing.csv")}
+    paths = {"missing": str(tmp_path / "missing.csv"),
+             "directory": str(tmp_path), "binary": str(tmp_path / "bin.csv")}
+    (tmp_path / "bin.csv").write_bytes(b"0,1\n\xff\xfe,2\n")  # not UTF-8
     for name, text in TABLES.items():
         paths[name] = str(tmp_path / (name + ".csv"))
         (tmp_path / (name + ".csv")).write_text(text)
@@ -156,6 +176,32 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "even", "--seq", "chihara", "--n", "5"],
+    ["transform", "bd", "--rates", "{rates}", "--n", "5"],
+    ["analyze", "--seq", "const", "--n", "1"],
+])
+def test_error_exit_leaves_no_csv(argv, tmp_path):
+    rates = tmp_path / "rates.csv"
+    rates.write_text("0,1,0\n1,2,1\n")  # two rows: a finite bd matrix of order 1
+    out = tmp_path / "out"
+    argv = [a.format(rates=str(rates)) for a in argv]
+    assert run(argv + ["--out", str(out)]) == 3
+    assert list(out.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--seq", "const", "--n", "20"],
+    ["spectrum", "--seq", "const", "--size", "5"],
+])
+def test_format_option_is_rejected(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--format", "json", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--format" in err and "Traceback" not in err
 
 
 def test_resolve_alpha_choices():
@@ -198,6 +244,33 @@ def test_spectrum_size_zero_exits_2(tmp_path):
 def test_spectrum_window_without_bin_exits_2(tmp_path):
     assert run(["spectrum", "--seq", "const", "--size", "10",
                 "--window=-1,1", "--out", str(tmp_path)]) == 2
+
+
+def test_spectrum_subnormal_tol_runs_the_capped_sweeps(tmp_path):
+    # both tolerances ask for more than the 110 bisection sweeps
+    csvs = []
+    for tol in ("1e-320", "1e-300"):
+        out = tmp_path / tol
+        assert run(["spectrum", "--seq", "const", "--size", "10", "--tol", tol,
+                    "--out", str(out)]) == 0
+        csvs.append((out / "spectrum.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def test_analyze_propagates_once_per_lambda(tmp_path, monkeypatch):
+    from jacobi_spectra import diagnostics, recurrence
+    calls = []
+    propagate = recurrence.propagate
+
+    def counting(*args):
+        calls.append(args[1])
+        return propagate(*args)
+
+    monkeypatch.setattr(recurrence, "propagate", counting)
+    monkeypatch.setattr(diagnostics, "propagate", counting)
+    assert run(["analyze", "--seq", "chihara", "--lambda", "0.5,2", "--n",
+                "50", "--out", str(tmp_path)]) == 0
+    assert calls == [0.5, 2.0]
 
 
 def test_spectrum_deterministic(tmp_path):

@@ -19,6 +19,7 @@ from jacobi_spectra import (
     liminf_estimate,
     overall_verdict,
     poly_init,
+    propagate,
     s_sequence,
     verdicts_to_json,
     w_bounds,
@@ -161,6 +162,16 @@ def test_s_sequence_bitwise_matches_scalar_reference(text, lam, choice):
             got = getattr(trace, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+
+def test_s_sequence_keeps_its_propagation_states():
+    seq = instantiate("chihara")
+    init = poly_init(seq, 0.7)
+    trace = s_sequence(seq, alpha_a(seq), 0.7, init, 200)
+    want = np.array([(s.x, s.y, s.logscale)
+                     for s in propagate(seq, 0.7, init, 200)])
+    assert trace.states.shape == (201, 3)
+    assert np.array_equal(trace.states.view(np.uint64), want.view(np.uint64))
 
 
 def test_s_sequence_exclusion_case_excludes_some_entries():

@@ -185,7 +185,8 @@ def test_partial_sums_truncation_guard():
 
 def test_write_trace_csv(tmp_path):
     seq = instantiate("const")
-    states = list(propagate(seq, 0.0, poly_init(seq, 0.0), 4))
+    states = np.array([(s.x, s.y, s.logscale)
+                       for s in propagate(seq, 0.0, poly_init(seq, 0.0), 4)])
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), states)
     lines = path.read_text().strip().splitlines()

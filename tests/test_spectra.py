@@ -19,6 +19,7 @@ from jacobi_spectra import (
 from jacobi_spectra.sequences import SequencePair
 from jacobi_spectra.spectra import (
     Truncation,
+    _MAX_BINS,
     _gauss_weights,
     _pivmin,
     _sturm_counts_vec,
@@ -209,6 +210,14 @@ def test_density_empty_window():
 def test_density_rejects_nonfinite_inputs(window, bin_width):
     with pytest.raises(DomainError):
         density_report(instantiate("const"), 10, window, bin_width)
+
+
+def test_density_bin_count_is_capped():
+    seq = instantiate("const")
+    assert len(density_report(seq, 5, (0.0, float(_MAX_BINS)), 1.0)) == _MAX_BINS
+    for hi in (_MAX_BINS + 1.0, 1e12):  # 1e12 bins would need ~8 TB of edges
+        with pytest.raises(DomainError):
+            density_report(seq, 5, (0.0, hi), 1.0)
 
 
 # --- Gauss measure ---------------------------------------------------------
