@@ -8,6 +8,15 @@ on the count yields any eigenvalue to prescribed absolute tolerance, and
 differencing counts at bin edges yields eigenvalue densities without a
 full eigensolve.
 
+One sweep computes the counts for a whole vector of shifts (every bracket
+midpoint of a bisection step, or every bin edge).  It runs down the rows
+of the recursion in blocks: each row costs two numpy calls, and the test
+for pivots below ``pivmin`` and the sign count run once per block.  A
+block that holds such a pivot is redone from its first one with the
+row-by-row sweep that substitutes ``-pivmin``, so the counts are
+bit-identical to that sweep's.  Its cost is numpy call overhead, not
+arithmetic: the shift vectors are a few hundred long.
+
 Finite sections are only *evidence* about the spectrum of the infinite
 operator: they can place spurious eigenvalues inside genuine spectral
 gaps (the alternating power family with its gap (-1, 1) is the standard
@@ -39,6 +48,8 @@ __all__ = [
 _SAFE_MIN = np.finfo(float).tiny / np.finfo(float).eps
 # at most this many bisection sweeps, each halving every bracket
 _MAX_SWEEPS = 110
+# floats in one block of the Sturm sweep's (rows, shifts) buffer: 64 KB
+_BLOCK_ELEMENTS = 8192
 # at most this many density_report bins (~15 MB of rows, ~5 MB of CSV)
 _MAX_BINS = 100_000
 
@@ -102,21 +113,68 @@ def truncate(seq, order):
 
 
 def _sturm_counts_vec(diag, off2, shifts, pivmin):
-    """Sturm counts for a vector of shifts simultaneously."""
+    """Sturm counts for a vector of shifts simultaneously.
+
+    The pivots ``d_i = (b_i - s) - a_{i-1}**2 / d_{i-1}`` are computed in
+    blocks of rows of a ``(rows, shifts)`` buffer of at most
+    ``_BLOCK_ELEMENTS`` floats.  One ``np.subtract.outer`` fills a block
+    with ``b_i - s``; each row then costs two numpy calls, a divide and a
+    subtract in place.  The pivmin test and the count of negative pivots
+    run once per block.  Every entry goes through the same IEEE operations
+    as the row-by-row sweep, so a block without a pivot below ``pivmin``
+    is bit-identical to it.  A block with one keeps its rows before the
+    first such row and finishes from that row with the row-by-row sweep,
+    which substitutes ``-pivmin``; so each row is computed at most twice.
+    The fast pass may divide by an exact zero pivot or overflow in the
+    rows it will redo, hence the ``np.errstate``.
+    """
     shifts = np.asarray(shifts, dtype=float)
-    d = diag[0] - shifts
+    N = len(diag)
+    block = max(1, _BLOCK_ELEMENTS // max(1, len(shifts)))
+    # row 0 carries the last pivot row of the previous block
+    buf = np.empty((min(block, N - 1) + 1, len(shifts)))
+    rows, q = list(buf), np.empty(len(shifts))
+    d = rows[0]
+    np.subtract(float(diag[0]), shifts, out=d)
     d[np.abs(d) < pivmin] = -pivmin
     count = (d < 0.0).astype(np.int64)
-    for b_i, e2 in zip(map(float, diag[1:]), map(float, off2)):
-        d = (b_i - shifts) - e2 / d
-        d[np.abs(d) < pivmin] = -pivmin
-        count += d < 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(1, N, block):
+            hi = min(lo + block, N)
+            k = hi - lo
+            b, pivots = diag[lo:hi], buf[1:k + 1]
+            e2s = off2[lo - 1:hi - 1].tolist()
+            np.subtract.outer(b, shifts, out=pivots)
+            for prev, d, e2 in zip(rows, rows[1:k + 1], e2s):
+                np.divide(e2, prev, out=q)
+                np.subtract(d, q, out=d)
+            hits = np.abs(pivots) < pivmin
+            if hits.any():
+                first = int(hits.any(axis=1).argmax())
+                for i in range(first, k):
+                    d = rows[i + 1]
+                    np.subtract(float(b[i]), shifts, out=d)
+                    np.divide(e2s[i], rows[i], out=q)
+                    np.subtract(d, q, out=d)
+                    d[np.abs(d) < pivmin] = -pivmin
+            count += (pivots < 0.0).sum(axis=0)
+            buf[0] = buf[k]
     return count
 
 
-def _pivmin(t):
-    scale = max(1.0, float(np.max(t.offdiag) ** 2)) if len(t.offdiag) else 1.0
-    return _SAFE_MIN * scale
+def _sturm_setup(t):
+    """(off2, pivmin) of a truncation: squared off-diagonal, pivot floor.
+
+    A square past binary64 is a :class:`DomainError`: with ``pivmin`` or
+    an ``off2`` entry infinite, every pivot would be substituted.
+    """
+    with np.errstate(over="ignore"):
+        off2 = t.offdiag ** 2
+        scale = max(1.0, float(np.max(t.offdiag) ** 2)) if len(off2) else 1.0
+    if not (math.isfinite(scale) and np.all(np.isfinite(off2))):
+        raise DomainError("squared off-diagonal overflows binary64: max a = %r"
+                          % float(np.max(t.offdiag)))
+    return off2, _SAFE_MIN * scale
 
 
 def sturm_count(t, x):
@@ -127,8 +185,8 @@ def sturm_count(t, x):
     """
     if t.order == 1:
         return int(t.diag[0] - x < 0.0)
-    off2 = t.offdiag ** 2
-    return int(_sturm_counts_vec(t.diag, off2, np.array([x]), _pivmin(t))[0])
+    off2, pivmin = _sturm_setup(t)
+    return int(_sturm_counts_vec(t.diag, off2, np.array([x]), pivmin)[0])
 
 
 def eigenvalues(t, tol=None, weights=False):
@@ -150,8 +208,7 @@ def eigenvalues(t, tol=None, weights=False):
     if N == 1:
         eigs = np.array([t.diag[0]])
     else:
-        off2 = t.offdiag ** 2
-        pivmin = _pivmin(t)
+        off2, pivmin = _sturm_setup(t)
         pad = 1e-6 * max(ghi - glo, 1.0)
         span = (ghi - glo) + 2.0 * pad
         lo, hi = np.full(N, glo - pad), np.full(N, ghi + pad)
@@ -199,7 +256,8 @@ def density_report(seq, order, window, bin_width):
     if t.order == 1:
         counts = np.array([int(t.diag[0] < e) for e in edges])
     else:
-        counts = _sturm_counts_vec(t.diag, t.offdiag ** 2, edges, _pivmin(t))
+        off2, pivmin = _sturm_setup(t)
+        counts = _sturm_counts_vec(t.diag, off2, edges, pivmin)
     return [
         (float(edges[i]), float(edges[i + 1]), int(counts[i + 1] - counts[i]))
         for i in range(n_bins)

@@ -164,6 +164,10 @@ TABLES = {
     (["check", "--theorem", "A", "--seq", "const", "--alpha",
       "table:{binary}", "--n", "200"], 2),
     (["check", "--theorem", "51", "--rates", "{binary}", "--n", "200"], 2),
+    # finite entries, but a(49)**2 overflows binary64
+    (["spectrum", "--seq", "pow:alpha=150", "--size", "50"], 3),
+    (["spectrum", "--seq", "pow:alpha=150", "--size", "50", "--window=0,1",
+      "--bin", "0.5"], 3),
 ])
 def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
     paths = {"missing": str(tmp_path / "missing.csv"),
@@ -178,10 +182,22 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+def test_density_through_exact_zero_pivots_is_silent(tmp_path, capsys):
+    # zero diagonal: the bin edges 0, 0.25, ... hit exact zero pivots
+    out = tmp_path / "out"
+    assert run(["spectrum", "--seq", "const", "--size", "300", "--window=-3,12",
+                "--bin", "0.25", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "density.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["transform", "even", "--seq", "chihara", "--n", "5"],
     ["transform", "bd", "--rates", "{rates}", "--n", "5"],
     ["analyze", "--seq", "const", "--n", "1"],
+    ["spectrum", "--seq", "pow:alpha=150", "--size", "50"],
+    ["spectrum", "--seq", "pow:alpha=150", "--size", "50", "--window=0,1",
+     "--bin", "0.5"],
 ])
 def test_error_exit_leaves_no_csv(argv, tmp_path):
     rates = tmp_path / "rates.csv"

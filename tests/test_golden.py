@@ -5,9 +5,10 @@ only, so ``config.json`` does not name the directory) and is compared with
 ``golden_digests.json``: the exit code, the digest of stdout and, for a
 successful run, the digest of every file it wrote.  The grid covers all
 four commands over the const, pow, chihara, paired, iterlog and table
-families at n <= 2000, plus the ``--init nan,1`` and ``--init inf,0``
-traces that pin the sign rule for a NaN direction (sign -1, unlike
-``np.sign``).
+families at n <= 2000, the three ``spectrum`` jobs of the gauss-spectrum
+benchmark at its sizes (up to n = 20000), plus the ``--init nan,1`` and
+``--init inf,0`` traces that pin the sign rule for a NaN direction (sign
+-1, unlike ``np.sign``).
 
 The digests were recorded on x86-64 Linux with glibc 2.36's libm.
 ``math.exp``, ``math.log`` and ``math.hypot`` come from the platform libm,
@@ -91,6 +92,15 @@ def _jobs():
                           "--window=1,0", "--bin", "0.5"],
         "spectrum-size-1": ["spectrum", "--seq", "chihara", "--size", "1",
                             "--weights"],
+        # the gauss-spectrum benchmark sizes: several Sturm-sweep blocks
+        "spectrum-weights-chihara-500": ["spectrum", "--seq", "chihara",
+                                         "--size", "500", "--weights"],
+        "spectrum-weights-paired-300": [
+            "spectrum", "--seq", "paired:eps=0.01,inner=pow,alpha=1",
+            "--size", "300", "--weights"],
+        "density-chihara-20000": ["spectrum", "--seq", "chihara", "--size",
+                                  "20000", "--window=0,80000", "--bin",
+                                  "784.12"],
     })
     return jobs
 

@@ -1,6 +1,7 @@
 """Tests for truncation spectra: Sturm counts, bisection, Gauss measures."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from jacobi_spectra import (
     sturm_count,
     truncate,
 )
+from jacobi_spectra import spectra
 from jacobi_spectra.sequences import SequencePair
 from jacobi_spectra.spectra import (
     Truncation,
+    _BLOCK_ELEMENTS,
     _MAX_BINS,
     _gauss_weights,
-    _pivmin,
+    _sturm_setup,
     _sturm_counts_vec,
     write_density_csv,
     write_spectrum_csv,
@@ -114,19 +117,136 @@ def _sturm_counts_index_loop(diag, off2, shifts, pivmin):
     return count
 
 
+def _hit_rows(t, shift):
+    """Rows of the Sturm sweep at ``shift`` whose pivot is below pivmin."""
+    off2, pivmin = _sturm_setup(t)
+    rows, d = [], 1.0
+    for i in range(t.order):
+        d = (t.diag[i] - shift) - (off2[i - 1] / d if i else 0.0)
+        if abs(d) < pivmin:
+            rows.append(i)
+            d = -pivmin
+    return rows
+
+
+def _pivot_hits_at(order, hits):
+    """Truncation whose sweep at shift 0 has exact zero pivots at ``hits``.
+
+    Off-diagonal 2**-30 keeps every other pivot at exactly 1.0 (1 - 2**-60
+    rounds to 1).  A hit after a pivot 1.0 is b = a = 1; a hit right after
+    a hit (pivot -pivmin = -2**-970) is b = -1, a**2 = 2**-970.
+    """
+    diag, off = np.ones(order), np.full(order - 1, 2.0 ** -30)
+    state = "one"
+    if 0 in hits:
+        diag[0], state = 0.0, "hit"
+    for r in range(1, order):
+        if r in hits:
+            assert state != "huge", "a hit cannot follow the pivot 2**910"
+            if state == "one":
+                off[r - 1] = 1.0
+            else:
+                diag[r], off[r - 1] = -1.0, 2.0 ** -485
+            state = "hit"
+        else:
+            state = "huge" if state == "hit" else "one"
+    return Truncation(diag, off)
+
+
+def _assert_counts_match(t, shifts):
+    off2, pivmin = _sturm_setup(t)
+    got = _sturm_counts_vec(t.diag, off2, shifts, pivmin)
+    expected = _sturm_counts_index_loop(t.diag, off2, shifts, pivmin)
+    assert np.array_equal(got, expected)
+
+
 def test_sturm_counts_match_index_loop():
     cases = [truncate(instantiate(text), 40)
              for text in CATALOG + ["paired:eps=0.01,inner=pow,alpha=1"]]
     # ones on both diagonals: at shift 0 the pivots run 1, 0, 1, 1, 0, ...
     cases += [Truncation(np.ones(k), np.ones(k - 1)) for k in (2, 5, 8)]
     for t in cases:
-        off2 = t.offdiag ** 2
         # a shift equal to diag[0] makes the first pivot exactly zero
         shifts = np.concatenate(
             [t.diag, [0.0], np.linspace(*t.gershgorin(), 61)])
-        got = _sturm_counts_vec(t.diag, off2, shifts, _pivmin(t))
-        expected = _sturm_counts_index_loop(t.diag, off2, shifts, _pivmin(t))
-        assert np.array_equal(got, expected)
+        _assert_counts_match(t, shifts)
+
+
+@pytest.mark.parametrize("n_shifts", [1, 100, _BLOCK_ELEMENTS + 8])
+def test_sturm_counts_match_index_loop_across_blocks(n_shifts):
+    # the sweep runs rows 1..N-1 in blocks of this many rows
+    block = max(1, _BLOCK_ELEMENTS // n_shifts)
+    orders = sorted({1, 2, block, block + 1, block + 2, 2 * block + 5})
+    for order in orders:
+        shifts = np.concatenate(([0.0, -0.0], np.linspace(-3.0, 3.0, n_shifts)))
+        cases = [truncate(instantiate("chihara"), order),
+                 Truncation(np.ones(order), np.ones(order - 1)),
+                 Truncation(np.zeros(order), np.ones(order - 1))]
+        for t in cases:
+            _assert_counts_match(t, shifts[:n_shifts])
+    # exact zero pivots on the first row, the first and last rows of a
+    # block and on consecutive rows, for blocks of one row or many
+    order = block + 3 if block > 100 else 2 * block + 3
+    for hits in ([0], [1], [block], [block + 1], [0, 1, 2],
+                 [block - 1, block, block + 1], [1, 2, 3, 2 * block]):
+        hits = [h for h in hits if h < order]
+        t = _pivot_hits_at(order, hits)
+        assert _hit_rows(t, 0.0) == sorted(set(hits))
+        shifts = np.concatenate(([0.0, -0.0], np.full(n_shifts, 0.5)))
+        _assert_counts_match(t, shifts[:n_shifts])
+
+
+def test_sturm_counts_match_index_loop_at_exact_eigenvalues():
+    # const: eigenvalues 2 cos(k pi / (N + 1)); zero diagonal and all ones
+    for order in (81, 82, 83):
+        for t in (Truncation(np.zeros(order), np.ones(order - 1)),
+                  Truncation(np.ones(order), np.ones(order - 1))):
+            k = np.arange(1, order + 1)
+            shifts = t.diag[0] + 2.0 * np.cos(k * math.pi / (order + 1))
+            _assert_counts_match(t, np.concatenate((shifts, [0.0, -0.0, 1.0])))
+
+
+@pytest.mark.parametrize("text, order", [
+    ("chihara", 500), ("paired:eps=0.01,inner=pow,alpha=1", 300),
+])
+def test_eigenvalues_bitwise_match_index_loop(text, order, monkeypatch):
+    t = truncate(instantiate(text), order)
+    got = eigenvalues(t).eigenvalues
+    monkeypatch.setattr(spectra, "_sturm_counts_vec", _sturm_counts_index_loop)
+    expected = eigenvalues(t).eigenvalues
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_density_counts_match_index_loop(monkeypatch):
+    args = (instantiate("chihara"), 20000, (0.0, 80000.0), 784.12)
+    got = density_report(*args)
+    assert len(got) == 103
+    monkeypatch.setattr(spectra, "_sturm_counts_vec", _sturm_counts_index_loop)
+    assert got == density_report(*args)
+
+
+def test_exact_zero_pivots_raise_no_warning():
+    all_ones = SequencePair(lambda n: 1.0, lambda n: 1.0, name="all-ones")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seq in (instantiate("const"), all_ones):
+            for order in (2, 3, 300):
+                t = truncate(seq, order)
+                eigenvalues(t, weights=True)
+                for x in (0.0, -0.0, 1.0, 2.0):
+                    sturm_count(t, x)
+                density_report(seq, order, (-3.0, 12.0), 0.25)
+
+
+def test_squared_offdiagonal_overflow_is_a_domain_error():
+    seq = instantiate("pow:alpha=150")  # a(49) ~ 3.4e253, a**2 overflows
+    t = truncate(seq, 50)
+    with pytest.raises(DomainError, match="overflows"):
+        eigenvalues(t)
+    with pytest.raises(DomainError, match="overflows"):
+        sturm_count(t, 0.0)
+    with pytest.raises(DomainError, match="overflows"):
+        density_report(seq, 50, (0.0, 1.0), 0.5)
 
 
 def test_sturm_count_monotone_through_exact_eigenvalue():
