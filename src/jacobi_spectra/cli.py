@@ -238,6 +238,8 @@ def cmd_spectrum(args):
 
 
 def cmd_transform(args):
+    if args.n < 0:
+        raise ParseError("--n must be >= 0, got %d" % args.n)
     cfg = RunConfig(command="transform", seq=args.seq,
                     rates=args.rates or args.bd, n=args.n,
                     theorem=None, out=args.out)
@@ -247,7 +249,7 @@ def cmd_transform(args):
         pair, pi = transforms.bd_to_jacobi(_resolve_rates(args))
         header = ["n", "abar", "bbar", "log_pi"]
         columns = [pair.a_array(n), pair.b_array(n),
-                   recurrence._elementwise(pi.log_pi, range(n))]
+                   pi.log_pi(np.arange(n))]
     else:
         seq = instantiate(parse_family(args.seq))
         derived = {"flip": transforms.flip,

@@ -23,16 +23,14 @@ are pass / fail / inconclusive with the thresholds documented in
 :class:`CheckerConfig`.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .recurrence import (_elementwise, _state_rows, _write_columns,
-                         propagate, poly_init)
-from .sequences import _first_iterlog_valid, iterlog_g
+from .recurrence import _elementwise, _state_rows, _write_columns, propagate
+from .sequences import SequencePair, _first_iterlog_valid, _iterlogs, _slices
 
 __all__ = [
     "DiagnosticsTrace",
@@ -138,11 +136,15 @@ def s_sequence(seq, alpha, lam, init, n_max, f_exclusion=1e-12):
         raise DomainError("n_max must be >= 2")
     lam = float(lam)
     N = n_max
-    states = _state_rows(propagate(seq, lam, init, N), N + 1)
-    x, y, logscale = states.T
     a = seq.a_array(N + 1)
-    b = seq.b_array(N + 1)[1:]
-    al = _elementwise(alpha, range(N + 1))
+    b_all = seq.b_array(N + 1)
+    # propagate over the coefficients just built, not a second evaluation
+    table = SequencePair.from_builders(_slices(a), _slices(b_all),
+                                       name=seq.name, length=N + 1)
+    states = _state_rows(propagate(table, lam, init, N), N + 1)
+    x, y, logscale = states.T
+    b = b_all[1:]
+    al = alpha.array(N + 1)
     a_n, a_nm1, al_n, al_nm1 = a[1:], a[:-1], al[1:], al[:-1]
     lam_b = lam - b
 
@@ -397,15 +399,18 @@ def _verdict(cond_id, graded):
 # --- theorem checkers ------------------------------------------------------
 
 
-def check_theorem_A(seq, alpha, n_max, config=None):
-    """Grade the seven hypotheses of the main continuous-spectrum theorem."""
-    cfg = config or DEFAULT_CONFIG
+def _checker_size(n_max, config):
+    """(config, N) of a checker graded on n = 0..N; N >= 100."""
     if n_max < 100:
         raise DomainError("n_max must be >= 100")
-    N = int(n_max)
-    a = seq.a_array(N + 2)
-    b = seq.b_array(N + 2)
-    al = _elementwise(alpha, range(N + 2))
+    return config or DEFAULT_CONFIG, int(n_max)
+
+
+def check_theorem_A(seq, alpha, n_max, config=None):
+    """Grade the seven hypotheses of the main continuous-spectrum theorem."""
+    cfg, N = _checker_size(n_max, config)
+    a, b = seq.a_array(N + 2), seq.b_array(N + 2)
+    al = alpha.array(N + 2)
 
     ns1 = np.arange(1, N)      # terms needing n-1 and n+1
     terms_b = negative_part((a[2: N + 1] / a[1:N]) * (al[2: N + 1] / al[1:N])
@@ -434,12 +439,8 @@ def check_theorem_A(seq, alpha, n_max, config=None):
 
 def check_corollary_B(seq, n_max, config=None):
     """The alpha = a specialization: five directly checkable hypotheses."""
-    cfg = config or DEFAULT_CONFIG
-    if n_max < 100:
-        raise DomainError("n_max must be >= 100")
-    N = int(n_max)
-    a = seq.a_array(N + 2)
-    b = seq.b_array(N + 2)
+    cfg, N = _checker_size(n_max, config)
+    a, b = seq.a_array(N + 2), seq.b_array(N + 2)
     ns = np.arange(0, N + 1)
 
     terms_c = negative_part(
@@ -469,12 +470,8 @@ class CorollaryCResult:
 
 def check_corollary_C(seq, n_max, config=None):
     """Essential-spectrum half-line evidence, plus the one-quarter ratio."""
-    cfg = config or DEFAULT_CONFIG
-    if n_max < 100:
-        raise DomainError("n_max must be >= 100")
-    N = int(n_max)
-    a = seq.a_array(N + 2)
-    b = seq.b_array(N + 2)
+    cfg, N = _checker_size(n_max, config)
+    a, b = seq.a_array(N + 2), seq.b_array(N + 2)
     ns = np.arange(0, N + 1)
 
     terms_c = negative_part(a[1: N + 2] / a[: N + 1] - 1.0)
@@ -512,12 +509,8 @@ def check_theorem_42(seq, n_max, config=None):
     a limsup for uniformity with the main theorem and record that choice in
     the evidence.
     """
-    cfg = config or DEFAULT_CONFIG
-    if n_max < 100:
-        raise DomainError("n_max must be >= 100")
-    N = int(n_max)
-    a = seq.a_array(N + 2)
-    b = seq.b_array(N + 2)
+    cfg, N = _checker_size(n_max, config)
+    a, b = seq.a_array(N + 2), seq.b_array(N + 2)
     ns = np.arange(0, N + 1)
 
     def bv_terms(values):
@@ -555,26 +548,20 @@ def check_theorem_43(seq, K, n_max, n_start=None, config=None):
     a(n)/a(n-1) outside [1 - c, 1 + 1/n + sum_j 1/(n g_j(n)) + c] and its
     summability graded.
     """
-    cfg = config or DEFAULT_CONFIG
-    if n_max < 100:
-        raise DomainError("n_max must be >= 100")
+    cfg, N = _checker_size(n_max, config)
     K = int(K)
-    N = int(n_max)
     if n_start is None:
         n_start = max(2, _first_iterlog_valid(K))
     if n_start > N:
         raise DomainError("the K=%d envelope starts at n=%d, past n_max=%d"
                           % (K, n_start, N))
-    a = seq.a_array(N + 2)
-    b = seq.b_array(N + 2)
+    a, b = seq.a_array(N + 2), seq.b_array(N + 2)
     ns_all = np.arange(0, N + 1)
 
     ns_b = np.arange(n_start, N + 1)
     ratio = a[n_start: N + 1] / a[n_start - 1: N]
     envelope = 1.0 + 1.0 / ns_b
-    for j in range(1, K + 1):
-        g_j = _elementwise(functools.partial(iterlog_g, j),
-                           range(n_start, N + 1))
+    for g_j in _iterlogs(ns_b.astype(float), K)[1:]:
         envelope += 1.0 / (ns_b * g_j)
     slack = np.maximum(0.0, np.maximum(1.0 - ratio, ratio - envelope))
 

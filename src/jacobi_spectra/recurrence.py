@@ -137,27 +137,26 @@ def propagate(seq, lam, init, n_max):
     """Yield :class:`PropagationState` for n = 0 .. n_max.
 
     The recurrence is applied from n = 1 on; the state at n = 0 is the
-    normalized initial pair itself.
+    normalized initial pair itself.  a(0..n_max) and b(0..n_max) are
+    built as arrays before the first state.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
+    a = memoryview(seq.a_array(n_max + 1))
+    b = memoryview(seq.b_array(n_max + 1))
     u0, u1 = float(init.u0), float(init.u1)
     r = math.hypot(u0, u1)
     x, y = u0 / r, u1 / r
     logscale = math.log(r)
     yield PropagationState(0, x, y, logscale)
-    a_prev = seq.a(0)
     for n in range(1, n_max + 1):
-        a_n = seq.a(n)
-        b_n = seq.b(n)
         # a(n) u(n+1) = (lam - b(n)) u(n) - a(n-1) u(n-1), scale-free
-        y_new = ((lam - b_n) * y - a_prev * x) / a_n
+        y_new = ((lam - b[n]) * y - a[n - 1] * x) / a[n]
         r = math.hypot(y, y_new)
         # r > 0: y == 0 forces y_new = -a(n-1) x / a(n) != 0 since (x,y) != 0
         x, y = y / r, y_new / r
         logscale += math.log(r)
         yield PropagationState(n, x, y, logscale)
-        a_prev = a_n
 
 
 class PolyTrace:

@@ -1,8 +1,12 @@
 """Jacobi coefficient sequences and the textual mini-language describing them.
 
 A Jacobi matrix is determined by an off-diagonal sequence ``a`` (positive)
-and a diagonal sequence ``b`` (real).  :class:`SequencePair` wraps both as
-lazily evaluable maps from index to value.  A small flat mini-language
+and a diagonal sequence ``b`` (real).  :class:`SequencePair` holds each as
+one builder that maps an index range to a float array: ``a_array`` and
+``b_array`` are the path from a family to numbers, and ``a(n)``/``b(n)``
+are single-index views of the same builders.  A custom
+``SequencePair(a_fn, b_fn)`` built from per-index callables keeps working
+through a per-index builder.  A small flat mini-language
 ("family specs") names the catalog of concrete sequence families used
 throughout the package:
 
@@ -37,6 +41,8 @@ the ``paired`` sub-spec mechanism.
 """
 
 import csv
+import functools
+import itertools
 import math
 import re
 import warnings
@@ -45,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ParseError
+from .recurrence import _elementwise
 
 __all__ = [
     "SequencePair",
@@ -70,111 +77,197 @@ CATALOG_FAMILIES = (
 )
 
 
-class SequencePair:
-    """The Jacobi data {a(n) > 0}, {b(n) real}, evaluable by index.
+class _Overflow(DomainError):
+    """A builtin overflowed binary64 at ``index`` of a checked build."""
 
-    Instances are immutable and deterministic: repeated queries at the same
-    index return bit-identical values.  ``length`` is None for infinite
+    def __init__(self, index):
+        super().__init__("entry %d overflows binary64" % index)
+        self.index = index
+
+
+def _per_index(fn):
+    """The builder of a sequence given by a per-index callable fn(n).
+
+    A single-index view of another pair (``seq.a``, ``seq.b``) gives back
+    that pair's builder, so wrapping a pair does not make it per-index.
+    """
+    if getattr(fn, "__func__", None) in (SequencePair.a, SequencePair.b):
+        return functools.partial(fn.__self__._values, fn.__name__)
+    return lambda lo, hi: _elementwise(fn, range(lo, hi))
+
+
+def _slices(values):
+    """The builder of a finite table held in a float array: read-only views."""
+    values.setflags(write=False)
+    return lambda lo, hi: values[lo:hi]
+
+
+def _positive(values):
+    return (values > 0.0) & (values < np.inf)
+
+
+def _checked(build, lo, hi, valid=None, reject=None):
+    """build(lo, hi), the entries lo..hi-1 as a float array, checked whole.
+
+    The first entry that ``valid(values)`` rejects raises
+    ``DomainError(reject(index, value))``.  A build may meet a later fault
+    before an earlier one (a parent's overflow before an inf product), so a
+    failing range is bisected to its first failing index: the fault raised
+    is the one that evaluating the entries in index order meets first, and
+    an OverflowError becomes :class:`_Overflow` naming that index.
+    """
+    if hi < lo:
+        raise DomainError("index range stop %d is below its start %d" % (hi, lo))
+
+    def check(stop):
+        # inf and NaN entries are faults to report, not numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = build(lo, stop) if stop > lo else np.empty(0)
+        if values.shape != (stop - lo,):
+            raise RuntimeError("a builder gave shape %r for %d entries"
+                               % (values.shape, stop - lo))
+        if valid is not None:
+            ok = valid(values)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise DomainError(reject(lo + i, float(values[i])))
+        return values
+
+    try:
+        return check(hi)
+    except (DomainError, OverflowError) as exc:
+        fault = exc
+    good, bad = lo, hi          # check(good) passes, check(bad) raises fault
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            check(mid)
+            good = mid
+        except (DomainError, OverflowError) as exc:
+            bad, fault = mid, exc
+    if isinstance(fault, OverflowError):
+        raise _Overflow(bad - 1) from None
+    raise fault
+
+
+class SequencePair:
+    """The Jacobi data {a(n) > 0}, {b(n) real}.
+
+    a and b are each one builder that maps an index range lo..hi-1 to a
+    float array, validated as a whole by :meth:`a_array`/:meth:`b_array`;
+    :meth:`a`/:meth:`b` are single-index views of them.  The constructor
+    takes per-index callables a_fn(n), b_fn(n) for custom sequences and
+    :meth:`from_builders` takes builders.  ``length`` is None for infinite
     families and the table size for finite ones.
     """
 
     def __init__(self, a_fn, b_fn, name="custom", length=None):
-        self._a_fn = a_fn
-        self._b_fn = b_fn
-        self.name = name
-        self.length = length
+        self._build = {"a": _per_index(a_fn), "b": _per_index(b_fn)}
+        self.name, self.length = name, length
 
-    def _check_index(self, n):
-        if n < 0:
-            raise DomainError("sequence index must be >= 0, got %d" % n)
-        if self.length is not None and n >= self.length:
-            raise DomainError(
-                "index %d out of range for finite sequence of length %d"
-                % (n, self.length)
-            )
+    @classmethod
+    def from_builders(cls, build_a, build_b, name="custom", length=None):
+        pair = cls(None, None, name, length)
+        pair._build = {"a": build_a, "b": build_b}
+        return pair
 
-    def _eval(self, fn, label, n):
-        self._check_index(n)
+    def _values(self, label, lo, hi):
+        if lo < 0:
+            raise DomainError("sequence index must be >= 0, got %d" % lo)
+        end = hi if self.length is None else min(hi, max(lo, self.length))
         try:
-            return float(fn(n))
-        except OverflowError:
+            values = _checked(
+                self._build[label], lo, end, _positive if label == "a" else None,
+                lambda n, v: "a(%d) = %r violates positivity for family %r"
+                % (n, v, self.name))
+        except _Overflow as exc:
             raise DomainError("%s(%d) overflows for family %r"
-                              % (label, n, self.name)) from None
+                              % (label, exc.index, self.name)) from None
+        if end < hi:
+            raise DomainError("index %d out of range for finite sequence of "
+                              "length %d" % (end, self.length))
+        return values
 
     def a(self, n):
-        value = self._eval(self._a_fn, "a", n)
-        if not value > 0.0 or not math.isfinite(value):
-            raise DomainError(
-                "a(%d) = %r violates positivity for family %r" % (n, value, self.name)
-            )
-        return value
+        return float(self._values("a", n, n + 1)[0])
 
     def b(self, n):
-        return self._eval(self._b_fn, "b", n)
+        return float(self._values("b", n, n + 1)[0])
 
-    def a_array(self, n_max):
-        """a(0..n_max-1) as a float array, each entry checked by :meth:`a`."""
-        return np.fromiter(map(self.a, range(n_max)), float, n_max)
+    def a_array(self, stop, start=0):
+        """a(start..stop-1) as a float array."""
+        return self._values("a", start, stop)
 
-    def b_array(self, n_max):
-        """b(0..n_max-1) as a float array."""
-        return np.fromiter(map(self.b, range(n_max)), float, n_max)
+    def b_array(self, stop, start=0):
+        """b(start..stop-1) as a float array."""
+        return self._values("b", start, stop)
 
     def __repr__(self):
         return "SequencePair(%r)" % self.name
 
     @classmethod
     def from_table(cls, a_values, b_values=None, name="table"):
-        a_values = [float(v) for v in a_values]
-        if b_values is None:
-            b_values = [0.0] * len(a_values)
-        b_values = [float(v) for v in b_values]
+        a_values = np.array(a_values, dtype=float)
+        b_values = np.array(np.zeros(len(a_values)) if b_values is None
+                            else b_values, dtype=float)
         if len(b_values) != len(a_values):
             raise DomainError("a and b tables must have equal length")
-        return cls(a_values.__getitem__, b_values.__getitem__, name=name,
-                   length=len(a_values))
+        return cls.from_builders(_slices(a_values), _slices(b_values),
+                                 name=name, length=len(a_values))
 
 
 class WeightSequence:
-    """A positive weight sequence with the fixed convention alpha(-1) = 0."""
+    """A positive weight sequence with the fixed convention alpha(-1) = 0.
+
+    Built like :class:`SequencePair`: :meth:`array` is the path to numbers
+    and ``alpha(n)`` a single-index view; the constructor takes fn(n).
+    """
 
     def __init__(self, fn, name="custom"):
-        self._fn = fn
-        self.name = name
+        self._build, self.name = _per_index(fn), name
+
+    @classmethod
+    def _from_builder(cls, build, name):
+        weights = cls(None, name)
+        weights._build = build
+        return weights
 
     def __call__(self, n):
         if n == -1:
             return 0.0
         if n < -1:
             raise DomainError("weight index must be >= -1, got %d" % n)
-        value = float(self._fn(n))
-        if not value > 0.0 or not math.isfinite(value):
-            raise DomainError("alpha(%d) = %r is not positive" % (n, value))
-        return value
+        return float(self.array(n + 1, start=n)[0])
+
+    def array(self, stop, start=0):
+        """alpha(start..stop-1) as a float array."""
+        return _checked(self._build, start, stop, _positive,
+                        lambda n, v: "alpha(%d) = %r is not positive" % (n, v))
 
     def __repr__(self):
         return "WeightSequence(%r)" % self.name
 
     @classmethod
     def ones(cls):
-        return cls(lambda n: 1.0, name="one")
+        return cls._from_builder(lambda lo, hi: np.ones(hi - lo), "one")
 
     @classmethod
     def from_a(cls, seq):
         """alpha(n) = a(n), the choice behind the a**2 summability variant."""
-        return cls(seq.a, name="a")
+        return cls._from_builder(lambda lo, hi: seq.a_array(hi, start=lo), "a")
 
     @classmethod
     def from_table(cls, values, name="table"):
-        values = [float(v) for v in values]
+        table = _slices(np.array(values, dtype=float))
 
-        def fn(n):
-            if n >= len(values):
+        def build(lo, hi):
+            if hi > len(values):
                 raise DomainError("weight table %r has %d entries, alpha(%d) "
-                                  "requested" % (name, len(values), n))
-            return values[n]
+                                  "requested" % (name, len(values),
+                                                 max(lo, len(values))))
+            return table(lo, hi)
 
-        return cls(fn, name=name)
+        return cls._from_builder(build, name)
 
     @classmethod
     def iterlog_weight(cls, seq, K, cutoff=None):
@@ -189,12 +282,15 @@ class WeightSequence:
         if cutoff is None:
             cutoff = _first_iterlog_valid(K)
 
-        def fn(n):
-            if n < cutoff:
-                return 1.0
-            return n * iterlog_g(K, float(n)) / seq.a(n)
+        def build(lo, hi):
+            values, first = np.ones(hi - lo), max(lo, cutoff)
+            if first < hi:
+                n = _arange(first, hi)
+                values[first - lo:] = (n * _iterlogs(n, K)[K]
+                                       / seq.a_array(hi, start=first))
+            return values
 
-        return cls(fn, name="iterlog-K%d" % K)
+        return cls._from_builder(build, "iterlog-K%d" % K)
 
 
 def _first_iterlog_valid(K):
@@ -217,24 +313,37 @@ def _first_iterlog_valid(K):
     return math.floor(tower) + 1
 
 
+def _iterlogs(x, K):
+    """[g_0, g_1, ..., g_K] at the float array x, in one pass.
+
+    g_j is the product of the first j iterated logarithms of x, multiplied
+    in the order of :func:`iterlog_g`, and g_0 = 1.  A level's logarithm
+    is positive exactly when the level is above 1; the first entry of the
+    shallowest level that is not names the error.  Along increasing x the
+    failing entries form a prefix, so it is also the first x at which the
+    per-index definition fails.
+    """
+    if K < 0:
+        raise DomainError("iterated-log order must be >= 0, got %d" % K)
+    gs = [np.ones(len(x))]
+    level = x
+    for _ in range(K):
+        above_one = level > 1.0
+        if not above_one.all():
+            raise DomainError("iterated log of %r hit a nonpositive level"
+                              % float(x[np.argmin(above_one)]))
+        level = _elementwise(math.log, level)
+        gs.append(gs[-1] * level)
+    return gs
+
+
 def iterlog_g(j, x):
     """Product of iterated logarithms log(x) * loglog(x) * ... (j factors).
 
     ``j = 0`` returns 1 (the empty product), so the ``iterlog`` family
     degenerates to a(n) = n + M there.
     """
-    j = int(j)
-    if j < 0:
-        raise DomainError("iterated-log order must be >= 0, got %d" % j)
-    x = float(x)
-    product = 1.0
-    level = x
-    for _ in range(j):
-        level = math.log(level) if level > 0.0 else float("nan")
-        if not level > 0.0:
-            raise DomainError("iterated log of %r hit a nonpositive level" % x)
-        product *= level
-    return product
+    return float(_iterlogs(np.array([float(x)]), int(j))[-1][0])
 
 
 def iterlog_g_prime(K, x):
@@ -242,13 +351,12 @@ def iterlog_g_prime(K, x):
 
     Equals g_K(x) times the sum over j <= K of 1/(x * g_j(x)).
     """
-    K = int(K)
     x = float(x)
-    gK = iterlog_g(K, x)
+    gs = [float(g[0]) for g in _iterlogs(np.array([x]), int(K))]
     total = 0.0
-    for j in range(1, K + 1):
-        total += 1.0 / (x * iterlog_g(j, x))
-    return gK * total
+    for g in gs[1:]:
+        total += 1.0 / (x * g)
+    return gs[-1] * total
 
 
 # --- mini-language ---------------------------------------------------------
@@ -385,51 +493,77 @@ def _validate_spec(spec):
             raise ParseError("iterlog K must be >= 0, got %r" % K)
 
 
-def _factorial_staircase_a(n):
-    if n == 0:
-        return 1.0
-    k = 1
-    while math.factorial(k + 1) <= n:
+def _arange(lo, hi):
+    return np.arange(lo, hi, dtype=float)
+
+
+def _zeros(lo, hi):
+    return np.zeros(hi - lo)
+
+
+def _power(base, alpha):
+    """base ** alpha by ``float.__pow__``: numpy's ** differs in the last bit,
+    and libm pow(x, 2) is not always x*x."""
+    return _elementwise(float.__pow__, base, itertools.repeat(alpha))
+
+
+def _factorial_staircase(lo, hi):
+    values = np.ones(hi - lo)          # a(0) = 1 and a(1) = sqrt(1!)
+    k = 2
+    while math.factorial(k) < hi:
+        start, stop = math.factorial(k) - lo, math.factorial(k + 1) - lo
+        values[max(start, 0): max(stop, 0)] = math.sqrt(math.factorial(k))
         k += 1
-    return math.sqrt(math.factorial(k))
+    return values
 
 
 def instantiate(spec):
-    """Build the :class:`SequencePair` described by a :class:`FamilySpec`."""
+    """Build the :class:`SequencePair` described by a :class:`FamilySpec`.
+
+    Each family is one builder per coefficient, mapping an index range to
+    a float array with the builtins of the closed forms in the table
+    above.
+    """
     if isinstance(spec, str):
         spec = parse_family(spec)
     fam = spec.family
     name = render_family(spec)
 
+    def pair(build_a, build_b=_zeros):
+        return SequencePair.from_builders(build_a, build_b, name=name)
+
     if fam == "const":
-        return SequencePair(lambda n: 1.0, lambda n: 0.0, name=name)
+        return pair(lambda lo, hi: np.ones(hi - lo))
 
     if fam == "pow":
         alpha = float(spec.require("alpha"))
-        return SequencePair(lambda n: (n + 1.0) ** alpha, lambda n: 0.0, name=name)
+        return pair(lambda lo, hi: _power(_arange(lo + 1, hi + 1), alpha))
 
     if fam == "pow-shifted":
         alpha = float(spec.require("alpha"))
 
-        def a_fn(n):
-            return float(n) ** alpha + (1.0 if n % 2 == 0 else 0.0)
+        def a(lo, hi):
+            values = _power(_arange(lo, hi), alpha)
+            values[lo % 2::2] += 1.0          # c(n) = 1 at even n
+            return values
 
-        return SequencePair(a_fn, lambda n: 0.0, name=name)
+        return pair(a)
 
     if fam == "paired":
         eps = float(spec.get("eps", 1.0))
         inner = instantiate(spec.inner)
 
-        def a_fn(n):
-            if n == 0:
-                return eps
-            k = (n + 1) // 2  # a(2k-1) = a(2k) = inner(k-1)
-            return inner.a(k - 1)
+        def a(lo, hi):
+            # a(n) = inner(k-1) with k = (n+1)//2, i.e. inner((n-1)//2)
+            first = max(lo, 1)
+            inner_a = inner.a_array((hi - 2) // 2 + 1, start=(first - 1) // 2)
+            values = np.repeat(inner_a, 2)[(first - 1) % 2:][: hi - first]
+            return np.concatenate(([eps], values)) if lo == 0 else values
 
-        return SequencePair(a_fn, lambda n: 0.0, name=name)
+        return pair(a)
 
     if fam == "factorial-staircase":
-        return SequencePair(_factorial_staircase_a, lambda n: 0.0, name=name)
+        return pair(_factorial_staircase)
 
     if fam == "iterlog":
         K = int(spec.require("k"))
@@ -444,16 +578,16 @@ def instantiate(spec):
         if not g_at_M > 0.0:
             raise DomainError("iterlog requires g_K(M) > 0")
 
-        def a_fn(n):
-            return (n + M) * iterlog_g(K, float(n + M))
+        def a(lo, hi):
+            x = np.fromiter((float(n + M) for n in range(lo, hi)), float, hi - lo)
+            return x * _iterlogs(x, K)[K]
 
-        return SequencePair(a_fn, lambda n: 0.0, name=name)
+        return pair(a)
 
     if fam == "chihara":
-        # b(n) = a(n-1) + a(n) with the a(-1) = 0 convention.
-        return SequencePair(lambda n: n + 1.0,
-                            lambda n: (2.0 * n + 1.0) if n > 0 else 1.0,
-                            name=name)
+        # b(n) = a(n-1) + a(n) = 2n + 1 with the a(-1) = 0 convention
+        return pair(lambda lo, hi: _arange(lo + 1, hi + 1),
+                    lambda lo, hi: np.arange(2 * lo + 1, 2 * hi, 2, dtype=float))
 
     if fam == "table":
         return load_table(spec.path)

@@ -31,7 +31,9 @@ import numpy as np
 from .errors import DomainError, ParseError
 from . import diagnostics as _diag
 from .diagnostics import ConditionVerdict, overall_verdict
-from .sequences import SequencePair, _read_lines
+from .recurrence import _elementwise
+from .sequences import (SequencePair, _arange, _checked, _per_index, _power,
+                        _read_lines, _slices, _zeros)
 
 __all__ = [
     "BirthDeathRates",
@@ -51,38 +53,57 @@ __all__ = [
 
 def flip(seq):
     """Negate the diagonal: spectra of the result are the negated spectra."""
-    return SequencePair(seq.a, lambda n: -seq.b(n),
-                        name="flip(%s)" % seq.name, length=seq.length)
+    return SequencePair.from_builders(
+        lambda lo, hi: seq.a_array(hi, start=lo),
+        lambda lo, hi: -seq.b_array(hi, start=lo),
+        name="flip(%s)" % seq.name, length=seq.length)
 
 
 def shift(seq):
     """Drop a(0): the variant with coefficients a(n+1) and the same b."""
     length = None if seq.length is None else seq.length - 1
-    return SequencePair(lambda n: seq.a(n + 1), seq.b,
-                        name="shift(%s)" % seq.name, length=length)
+    return SequencePair.from_builders(
+        lambda lo, hi: seq.a_array(hi + 1, start=lo + 1),
+        lambda lo, hi: seq.b_array(hi, start=lo),
+        name="shift(%s)" % seq.name, length=length)
 
 
-def _require_b_zero(seq, n):
-    if seq.b(n) != 0.0:
-        raise DomainError(
-            "even/odd restriction requires b == 0; b(%d) = %r" % (n, seq.b(n)))
+def _square_restriction(seq, s, kind):
+    """Restriction of the squared operator to the indices of parity s.
+
+    a(n) = a(2n+s) a(2n+s+1) and b(n) = a(2n+s-1)**2 + a(2n+s)**2, with
+    a(-1) = 0; b == 0 is checked wherever the entries use it.
+    """
+    def zero_b(lo, hi, step=1):
+        b = seq.b_array(hi, start=lo)[::step]
+        if b.any():
+            i = int(np.flatnonzero(b)[0])
+            raise DomainError("even/odd restriction requires b == 0; b(%d) = %r"
+                              % (lo + step * i, float(b[i])))
+
+    def a(lo, hi):
+        zero_b(2 * lo + s, 2 * hi + s)
+        parent = seq.a_array(2 * hi + s, start=2 * lo + s)
+        return parent[0::2] * parent[1::2]
+
+    def b(lo, hi):
+        zero_b(2 * lo + s, 2 * hi + s - 1, 2)
+        first = max(2 * lo + s - 1, 0)
+        parent = seq.a_array(2 * hi + s - 1, start=first)
+        at = 2 * lo + s - first             # where a(2n+s) starts
+        prev = _power(parent[1 - at::2], 2.0)
+        values = _power(parent[at::2], 2.0)
+        values[len(values) - len(prev):] += prev
+        return values
+
+    length = None if seq.length is None else (seq.length - s) // 2
+    return SequencePair.from_builders(a, b, name="%s(%s)" % (kind, seq.name),
+                                      length=length)
 
 
 def square_even(seq):
     """Even restriction of the squared operator (requires b == 0)."""
-
-    def a_fn(n):
-        _require_b_zero(seq, 2 * n)
-        _require_b_zero(seq, 2 * n + 1)
-        return seq.a(2 * n) * seq.a(2 * n + 1)
-
-    def b_fn(n):
-        _require_b_zero(seq, 2 * n)
-        prev = seq.a(2 * n - 1) if n > 0 else 0.0  # a(-1) = 0 convention
-        return prev ** 2 + seq.a(2 * n) ** 2
-
-    length = None if seq.length is None else seq.length // 2
-    return SequencePair(a_fn, b_fn, name="even(%s)" % seq.name, length=length)
+    return _square_restriction(seq, 0, "even")
 
 
 def square_odd(seq):
@@ -91,73 +112,94 @@ def square_odd(seq):
     Agrees with ``square_even(shift(seq))`` in every entry except b(0),
     where the dropped leading coefficient contributes an extra a(0)**2.
     """
-
-    def a_fn(n):
-        _require_b_zero(seq, 2 * n + 1)
-        _require_b_zero(seq, 2 * n + 2)
-        return seq.a(2 * n + 1) * seq.a(2 * n + 2)
-
-    def b_fn(n):
-        _require_b_zero(seq, 2 * n + 1)
-        return seq.a(2 * n) ** 2 + seq.a(2 * n + 1) ** 2
-
-    length = None if seq.length is None else (seq.length - 1) // 2
-    return SequencePair(a_fn, b_fn, name="odd(%s)" % seq.name, length=length)
+    return _square_restriction(seq, 1, "odd")
 
 
 # --- birth-death processes -------------------------------------------------
 
 
 class BirthDeathRates:
-    """Birth rates lambda(n) > 0 and death rates mu with mu(0) >= 0."""
+    """Birth rates lambda(n) > 0 and death rates mu with mu(0) >= 0.
+
+    Built like :class:`SequencePair`: ``lam_array``/``mu_array`` build and
+    check index ranges, ``lam(n)``/``mu(n)`` are single-index views, and
+    the constructor takes per-index callables.
+    """
 
     def __init__(self, lam_fn, mu_fn, name="rates", length=None):
-        self._lam_fn = lam_fn
-        self._mu_fn = mu_fn
-        self.name = name
-        self.length = length
+        self._lam, self._mu = _per_index(lam_fn), _per_index(mu_fn)
+        self.name, self.length = name, length
+
+    @classmethod
+    def _from_builders(cls, lam, mu, name, length=None):
+        rates = cls(None, None, name, length)
+        rates._lam, rates._mu = lam, mu
+        return rates
+
+    def _values(self, build, lo, hi, valid, reject):
+        if lo < 0 or (self.length is not None and hi > self.length):
+            raise DomainError("rates %d..%d requested from %r of length %s"
+                              % (lo, hi - 1, self.name, self.length))
+        return _checked(build, lo, hi, valid, reject)
+
+    def lam_array(self, stop, start=0):
+        return self._values(self._lam, start, stop, lambda v: v > 0.0,
+                            lambda n, v: "lambda(%d) = %r must be positive"
+                            % (n, v))
+
+    def mu_array(self, stop, start=0):
+        def valid(values):
+            ok = values > 0.0
+            if start == 0 and len(ok):
+                ok[0] = not values[0] < 0.0     # mu(0) = 0 is allowed
+            return ok
+
+        def reject(n, value):
+            if n == 0:
+                return "mu(0) must be >= 0, got %r" % value
+            return "mu(%d) = %r must be positive" % (n, value)
+
+        return self._values(self._mu, start, stop, valid, reject)
 
     def lam(self, n):
-        value = float(self._lam_fn(n))
-        if not value > 0.0:
-            raise DomainError("lambda(%d) = %r must be positive" % (n, value))
-        return value
+        return float(self.lam_array(n + 1, start=n)[0])
 
     def mu(self, n):
-        value = float(self._mu_fn(n))
-        if n == 0:
-            if value < 0.0:
-                raise DomainError("mu(0) must be >= 0, got %r" % value)
-        elif not value > 0.0:
-            raise DomainError("mu(%d) = %r must be positive" % (n, value))
-        return value
+        return float(self.mu_array(n + 1, start=n)[0])
 
     @classmethod
     def from_tables(cls, lam_values, mu_values, name="rates"):
-        lam_values = [float(v) for v in lam_values]
-        mu_values = [float(v) for v in mu_values]
-        n = min(len(lam_values), len(mu_values))
-        return cls(lam_values.__getitem__, mu_values.__getitem__,
-                   name=name, length=n)
+        return cls._from_builders(_slices(np.array(lam_values, dtype=float)),
+                                  _slices(np.array(mu_values, dtype=float)),
+                                  name, min(len(lam_values), len(mu_values)))
 
 
 class PiWeights:
     """The weights pi(0) = 1, pi(n) = prod lambda / prod mu, stored as logs.
 
     The exact ratio recursion pi(n+1)/pi(n) = lambda(n)/mu(n+1) holds in
-    log arithmetic, which survives geometric growth or decay.
+    log arithmetic, which survives geometric growth or decay.  The logs
+    are one running sum, extended as far as the largest index asked for.
     """
 
     def __init__(self, rates):
         self._rates = rates
-        self._log_pi = [0.0]
+        self._log_pi = np.zeros(1)
 
     def log_pi(self, n):
-        while len(self._log_pi) <= n:
-            k = len(self._log_pi) - 1
-            self._log_pi.append(
-                self._log_pi[-1]
-                + math.log(self._rates.lam(k)) - math.log(self._rates.mu(k + 1)))
+        """log pi(n); ``n`` may also be an array of indices."""
+        done, last = len(self._log_pi) - 1, int(np.max(n, initial=0))
+        if last > done:
+            # (lp + log lambda(k)) - log mu(k+1), summed in that order
+            entries = _checked(_rate_sequence(self._rates), 2 * done + 1,
+                               2 * last + 1)
+            steps = np.empty(len(entries) + 1)
+            steps[0] = self._log_pi[-1]
+            steps[1:] = _elementwise(math.log, entries)
+            np.negative(steps[2::2], out=steps[2::2])
+            with np.errstate(invalid="ignore"):     # inf - inf, as floats
+                sums = np.cumsum(steps)[2::2]
+            self._log_pi = np.concatenate((self._log_pi, sums))
         return self._log_pi[n]
 
     def pi(self, n):
@@ -177,28 +219,38 @@ def bd_to_jacobi(rates):
     """
     length = None if rates.length is None else rates.length - 1
 
-    def a_fn(n):
-        return math.sqrt(rates.lam(n) * rates.mu(n + 1))
+    def a(lo, hi):
+        lam = rates.lam_array(hi, start=lo)
+        return np.sqrt(lam * rates.mu_array(hi + 1, start=lo + 1))
 
-    def b_fn(n):
-        return -(rates.lam(n) + rates.mu(n))
+    def b(lo, hi):
+        lam = rates.lam_array(hi, start=lo)
+        return -(lam + rates.mu_array(hi, start=lo))
 
-    pair = SequencePair(a_fn, b_fn, name="bd(%s)" % rates.name, length=length)
+    pair = SequencePair.from_builders(a, b, name="bd(%s)" % rates.name,
+                                      length=length)
     return pair, PiWeights(rates)
+
+
+def _rate_sequence(rates):
+    """The builder of (mu(0), lambda(0), mu(1), lambda(1), ...)."""
+    def build(lo, hi):
+        values = np.empty(hi - lo)
+        mu, lam = values[lo % 2::2], values[1 - lo % 2::2]
+        k, j = (lo + 1) // 2, lo // 2
+        mu[:] = rates.mu_array(k + len(mu), start=k)
+        lam[:] = rates.lam_array(j + len(lam), start=j)
+        return values
+    return build
 
 
 def bd_interleaved(rates):
     """The interleaved sequence (mu(1), lambda(1), mu(2), lambda(2), ...)."""
-
-    def a_fn(n):
-        k = n // 2 + 1
-        return rates.mu(k) if n % 2 == 0 else rates.lam(k)
-
-    length = None
-    if rates.length is not None:
-        length = 2 * (rates.length - 1)
-    return SequencePair(a_fn, lambda n: 0.0,
-                        name="interleaved(%s)" % rates.name, length=length)
+    entries = _rate_sequence(rates)
+    length = None if rates.length is None else 2 * (rates.length - 1)
+    return SequencePair.from_builders(
+        lambda lo, hi: entries(lo + 2, hi + 2), _zeros,
+        name="interleaved(%s)" % rates.name, length=length)
 
 
 def bd_square_root_route(rates):
@@ -209,24 +261,12 @@ def bd_square_root_route(rates):
     (sqrt(lambda(0)), sqrt(mu(1)), sqrt(lambda(1)), ...).  Returns
     ("odd", seq) when mu(0) > 0, with the extra leading sqrt(mu(0)).
     """
-    mu0 = rates.mu(0)
-
-    if mu0 == 0.0:
-        def a_fn(n):
-            k, odd = divmod(n, 2)
-            return math.sqrt(rates.lam(k) if not odd else rates.mu(k + 1))
-        route = "even"
-    else:
-        def a_fn(n):
-            if n == 0:
-                return math.sqrt(mu0)
-            k, odd = divmod(n - 1, 2)
-            return math.sqrt(rates.lam(k) if not odd else rates.mu(k + 1))
-        route = "odd"
-
+    entries = _rate_sequence(rates)
+    route, skip = ("even", 1) if rates.mu(0) == 0.0 else ("odd", 0)
     length = None if rates.length is None else 2 * rates.length - 1
-    return route, SequencePair(a_fn, lambda n: 0.0,
-                               name="bd-root(%s)" % rates.name, length=length)
+    return route, SequencePair.from_builders(
+        lambda lo, hi: np.sqrt(entries(lo + skip, hi + skip)), _zeros,
+        name="bd-root(%s)" % rates.name, length=length)
 
 
 def bd_check_theorem_51(rates, n_max, config=None):
@@ -235,10 +275,7 @@ def bd_check_theorem_51(rates, n_max, config=None):
     On an overall pass the predicted conclusion is that the generator is
     self-adjoint with no eigenvalues and spectrum (-inf, 0].
     """
-    cfg = config or _diag.DEFAULT_CONFIG
-    if n_max < 100:
-        raise DomainError("n_max must be >= 100")
-    N = int(n_max)
+    cfg, N = _diag._checker_size(n_max, config)
     a = bd_interleaved(rates).a_array(N + 2)
     ns = np.arange(0, N + 1)
     terms_c = _diag.negative_part(a[1: N + 2] / a[: N + 1] - 1.0)
@@ -257,9 +294,11 @@ def bd_check_theorem_51(rates, n_max, config=None):
 # --- rates input -----------------------------------------------------------
 
 _RATE_FAMILIES = {
-    # canonical named rate sequences for the bd mini-language extension
-    "linear": (lambda n: n + 1.0, lambda n: float(n)),
-    "quadratic": (lambda n: (n + 1.0) ** 2, lambda n: float(n) ** 2),
+    # canonical named rate sequences for the bd mini-language extension,
+    # as builders of (lambda, mu) over an index range
+    "linear": (lambda lo, hi: _arange(lo + 1, hi + 1), _arange),
+    "quadratic": (lambda lo, hi: _power(_arange(lo + 1, hi + 1), 2.0),
+                  lambda lo, hi: _power(_arange(lo, hi), 2.0)),
 }
 
 
@@ -283,9 +322,9 @@ def parse_rates(text):
         raise DomainError(
             "rates must name one of %s for both lam and mu; got %r"
             % (sorted(_RATE_FAMILIES), text))
-    lam_fn = _RATE_FAMILIES[lam_name][0]
-    mu_fn = _RATE_FAMILIES[mu_name][1]
-    return BirthDeathRates(lam_fn, mu_fn, name="bd:lam=%s,mu=%s" % (lam_name, mu_name))
+    return BirthDeathRates._from_builders(
+        _RATE_FAMILIES[lam_name][0], _RATE_FAMILIES[mu_name][1],
+        "bd:lam=%s,mu=%s" % (lam_name, mu_name))
 
 
 def load_rates_csv(path):

@@ -168,6 +168,14 @@ TABLES = {
     (["spectrum", "--seq", "pow:alpha=150", "--size", "50"], 3),
     (["spectrum", "--seq", "pow:alpha=150", "--size", "50", "--window=0,1",
       "--bin", "0.5"], 3),
+    # negative row counts, and faults met inside array builders: no numpy
+    # warning joins the error line
+    (["transform", "flip", "--seq", "const", "--n", "-5"], 2),
+    (["transform", "bd", "--bd", "lam=linear,mu=linear", "--n", "-5"], 2),
+    (["transform", "even", "--seq", "pow:alpha=400", "--n", "200"], 3),
+    (["transform", "odd", "--seq", "pow:alpha=200", "--n", "200"], 3),
+    (["check", "--theorem", "B", "--seq", "pow:alpha=400", "--n", "200"], 3),
+    (["transform", "even", "--seq", "table:{huge}", "--n", "1"], 3),
 ])
 def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
     paths = {"missing": str(tmp_path / "missing.csv"),
@@ -191,20 +199,28 @@ def test_density_through_exact_zero_pivots_is_silent(tmp_path, capsys):
     assert (out / "density.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["transform", "even", "--seq", "chihara", "--n", "5"],
-    ["transform", "bd", "--rates", "{rates}", "--n", "5"],
-    ["analyze", "--seq", "const", "--n", "1"],
-    ["spectrum", "--seq", "pow:alpha=150", "--size", "50"],
-    ["spectrum", "--seq", "pow:alpha=150", "--size", "50", "--window=0,1",
-     "--bin", "0.5"],
+@pytest.mark.parametrize("argv, code", [
+    # the ids of the exit-3 cases are those of the earlier argv-only form
+    pytest.param(["transform", "even", "--seq", "chihara", "--n", "5"], 3,
+                 id="argv0"),
+    pytest.param(["transform", "bd", "--rates", "{rates}", "--n", "5"], 3,
+                 id="argv1"),
+    pytest.param(["analyze", "--seq", "const", "--n", "1"], 3, id="argv2"),
+    pytest.param(["spectrum", "--seq", "pow:alpha=150", "--size", "50"], 3,
+                 id="argv3"),
+    pytest.param(["spectrum", "--seq", "pow:alpha=150", "--size", "50",
+                  "--window=0,1", "--bin", "0.5"], 3, id="argv4"),
+    pytest.param(["transform", "flip", "--seq", "const", "--n", "-5"], 2,
+                 id="flip-negative-n"),
+    pytest.param(["transform", "bd", "--bd", "lam=linear,mu=linear",
+                  "--n", "-5"], 2, id="bd-negative-n"),
 ])
-def test_error_exit_leaves_no_csv(argv, tmp_path):
+def test_error_exit_leaves_no_csv(argv, code, tmp_path):
     rates = tmp_path / "rates.csv"
     rates.write_text("0,1,0\n1,2,1\n")  # two rows: a finite bd matrix of order 1
     out = tmp_path / "out"
     argv = [a.format(rates=str(rates)) for a in argv]
-    assert run(argv + ["--out", str(out)]) == 3
+    assert run(argv + ["--out", str(out)]) == code
     assert list(out.glob("*.csv")) == []
 
 

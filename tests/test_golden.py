@@ -6,9 +6,11 @@ only, so ``config.json`` does not name the directory) and is compared with
 successful run, the digest of every file it wrote.  The grid covers all
 four commands over the const, pow, chihara, paired, iterlog and table
 families at n <= 2000, the three ``spectrum`` jobs of the gauss-spectrum
-benchmark at its sizes (up to n = 20000), plus the ``--init nan,1`` and
-``--init inf,0`` traces that pin the sign rule for a NaN direction (sign
--1, unlike ``np.sign``).
+benchmark at its sizes (up to n = 20000), the check and transform jobs of
+the hypothesis-checks benchmark at n = 30000, analyze, check B and
+transform even on the pow-shifted and factorial-staircase families, plus
+the ``--init nan,1`` and ``--init inf,0`` traces that pin the sign rule for
+a NaN direction (sign -1, unlike ``np.sign``).
 
 The digests were recorded on x86-64 Linux with glibc 2.36's libm.
 ``math.exp``, ``math.log`` and ``math.hypot`` come from the platform libm,
@@ -101,7 +103,34 @@ def _jobs():
         "density-chihara-20000": ["spectrum", "--seq", "chihara", "--size",
                                   "20000", "--window=0,80000", "--bin",
                                   "784.12"],
+        # the hypothesis-checks benchmark sizes
+        "check-43-iterlog-30000": ["check", "--theorem", "43", "--seq",
+                                   "iterlog:k=2,m=16", "--k", "2",
+                                   "--n", "30000"],
+        "check-51-linear-30000": ["check", "--theorem", "51", "--bd",
+                                  "lam=linear,mu=linear", "--n", "30000"],
+        "transform-flip-chihara-30000": ["transform", "flip", "--seq",
+                                         "chihara", "--n", "30000"],
+        "transform-bd-quadratic-30000": ["transform", "bd", "--bd",
+                                         "lam=quadratic,mu=quadratic",
+                                         "--n", "30000"],
     })
+    for theorem in ("A", "B", "42"):
+        jobs["check-%s-pow-30000" % theorem] = [
+            "check", "--theorem", theorem, "--seq", "pow:alpha=0.7",
+            "--n", "30000"]
+    for kind in ("even", "odd"):
+        jobs["transform-%s-pow-30000" % kind] = [
+            "transform", kind, "--seq", "pow:alpha=0.3", "--n", "30000"]
+    # the two catalog families outside the grid above
+    for seq in ("pow-shifted:alpha=0.5", "factorial-staircase"):
+        fam = seq.partition(":")[0]
+        jobs["analyze-%s" % fam] = [
+            "analyze", "--seq", seq, "--lambda", "0.5,-1.5", "--n", "2000"]
+        jobs["check-B-%s-30000" % fam] = [
+            "check", "--theorem", "B", "--seq", seq, "--n", "30000"]
+        jobs["transform-even-%s-30000" % fam] = [
+            "transform", "even", "--seq", seq, "--n", "30000"]
     return jobs
 
 
