@@ -38,7 +38,6 @@ from .recurrence import (
 from .diagnostics import (
     DiagnosticsTrace,
     ConditionVerdict,
-    CheckerConfig,
     s_sequence,
     w_bounds,
     liminf_estimate,

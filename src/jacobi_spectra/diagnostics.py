@@ -19,8 +19,8 @@ exponential eigenvector growth is harmless.
 
 The theorem checkers grade *numerical evidence* for asymptotic hypotheses
 (summability, divergence, limits).  They cannot prove anything; verdicts
-are pass / fail / inconclusive with the thresholds documented in
-:class:`CheckerConfig`.
+are pass / fail / inconclusive with the thresholds documented at the
+module constants ``SUMMABLE_DECREASE`` .. ``LIMSUP_MARGIN``.
 """
 
 import math
@@ -35,7 +35,6 @@ from .sequences import SequencePair, _first_iterlog_valid, _iterlogs, _slices
 __all__ = [
     "DiagnosticsTrace",
     "ConditionVerdict",
-    "CheckerConfig",
     "LiminfEstimate",
     "CorollaryCResult",
     "s_sequence",
@@ -236,66 +235,55 @@ class ConditionVerdict:
         return self.verdict == PASS
 
 
-@dataclass(frozen=True)
-class CheckerConfig:
-    """Thresholds for grading asymptotic evidence from finite data.
-
-    A nonnegative series is graded *divergent* when the median ratio of
-    successive geometric window sums is at least ``divergent_ratio``
-    (essentially nondecreasing window sums); *summable* when that median
-    ratio is at most 1/``summable_decrease`` and the log-log slope of its
-    terms is at most ``summable_slope``; anything else is inconclusive.
-    """
-
-    summable_decrease: float = 1.25
-    summable_slope: float = -1.1
-    divergent_ratio: float = 0.98
-    growth_factor: float = 1.2
-    flat_factor: float = 1.02
-    limit_osc_tol: float = 1e-3
-    limsup_margin: float = 1e-3
-    f_exclusion: float = 1e-12
+# Thresholds for grading asymptotic evidence from finite data.  A
+# nonnegative series is graded *divergent* when the median ratio of
+# successive geometric window sums is at least DIVERGENT_RATIO; *summable*
+# when it is at most 1/SUMMABLE_DECREASE and the log-log slope of its terms
+# is at most SUMMABLE_SLOPE.  Window maxima grade growth (GROWTH_FACTOR) and
+# flatness (FLAT_FACTOR), and the tail's oscillation grades a limit
+# (LIMIT_OSC_TOL) and its maximum a limsup (LIMSUP_MARGIN).
+SUMMABLE_DECREASE = 1.25
+SUMMABLE_SLOPE = -1.1
+DIVERGENT_RATIO = 0.98
+GROWTH_FACTOR = 1.2
+FLAT_FACTOR = 1.02
+LIMIT_OSC_TOL = 1e-3
+LIMSUP_MARGIN = 1e-3
 
 
-DEFAULT_CONFIG = CheckerConfig()
+def _window_maxima(values):
+    """Maxima of values at n = 0..N over [N/4, N/2) and [N/2, N]."""
+    N = len(values) - 1
+    return (float(np.max(values[N // 4: N // 2])),
+            float(np.max(values[N // 2:])))
 
 
-def _dyadic_windows(ns):
-    N = int(ns[-1])
-    lo = max(int(ns[0]), N // 4)
-    mid = N // 2
-    w1 = (ns >= lo) & (ns < mid)
-    w2 = ns >= mid
-    return w1, w2
+def _tail(values):
+    """The last quarter of the values, where limits are graded."""
+    return values[3 * len(values) // 4:]
 
 
 def _loglog_slope(ns, terms):
     mask = (terms > 0.0) & (ns >= int(ns[-1]) // 4)
     if np.sum(mask) < 5:
         return float("nan")
-    x = np.log(ns[mask].astype(float))
-    y = np.log(terms[mask])
-    slope = np.polyfit(x, y, 1)[0]
+    slope = np.polyfit(np.log(ns[mask]), np.log(terms[mask]), 1)[0]
     return float(slope)
 
 
-def _grade_summable(ns, terms, cfg):
-    """Evidence verdict for sum(terms) < infinity, terms >= 0.
+def _grade_summable(terms, first=0):
+    """Evidence verdict for sum(terms) < infinity, terms >= 0 at n = first..N.
 
     Window sums are taken over four geometric windows ending at N; the
     *median* of successive window-sum ratios drives the verdict, which
     keeps staircase-shaped term sequences (constant over long stretches,
     with rare jumps) from fooling a single dyadic comparison.
     """
-    ns = np.asarray(ns, dtype=float)
-    terms = np.asarray(terms, dtype=float)
+    ns = np.arange(first, first + len(terms), dtype=float)
     N = int(ns[-1])
     edges = [N // 16, N // 8, N // 4, N // 2, N]
-    sums = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (ns >= max(lo, ns[0])) & (ns < hi) if hi != N else \
-              (ns >= max(lo, ns[0]))
-        sums.append(float(np.sum(terms[sel])))
+    sums = [float(np.sum(terms[(ns >= lo) & ((ns < hi) | (hi == N))]))
+            for lo, hi in zip(edges[:-1], edges[1:])]
     slope = _loglog_slope(ns, terms)
     ratios = [sums[i + 1] / sums[i] for i in range(len(sums) - 1)
               if sums[i] > 0.0 and sums[i + 1] > 0.0]
@@ -312,71 +300,60 @@ def _grade_summable(ns, terms, cfg):
         return INCONCLUSIVE, evidence
     median_ratio = float(np.median(ratios))
     evidence["median_ratio"] = median_ratio
-    if median_ratio >= cfg.divergent_ratio:
+    if median_ratio >= DIVERGENT_RATIO:
         return FAIL, evidence
-    if median_ratio <= 1.0 / cfg.summable_decrease and \
-            (math.isnan(slope) or slope <= cfg.summable_slope):
+    if median_ratio <= 1.0 / SUMMABLE_DECREASE and \
+            (math.isnan(slope) or slope <= SUMMABLE_SLOPE):
         return PASS, evidence
     return INCONCLUSIVE, evidence
 
 
-def _grade_divergent(ns, terms, cfg):
-    """Evidence verdict for sum(terms) = infinity (terms >= 0)."""
-    verdict, evidence = _grade_summable(ns, terms, cfg)
+def _grade_divergent(terms):
+    """Evidence verdict for sum(terms) = infinity (terms >= 0 from n = 0)."""
+    verdict, evidence = _grade_summable(terms)
     flipped = {PASS: FAIL, FAIL: PASS, INCONCLUSIVE: INCONCLUSIVE}[verdict]
     return flipped, evidence
 
 
-def _grade_growth_to_inf(ns, values, cfg):
-    ns = np.asarray(ns, dtype=float)
-    values = np.asarray(values, dtype=float)
-    w1, w2 = _dyadic_windows(ns)
-    m1 = float(np.max(values[w1]))
-    m2 = float(np.max(values[w2]))
+def _grade_growth_to_inf(values):
+    m1, m2 = _window_maxima(values)
     evidence = {"window_maxima": [m1, m2]}
-    if m1 > 0.0 and m2 >= cfg.growth_factor * m1:
+    if m1 > 0.0 and m2 >= GROWTH_FACTOR * m1:
         return PASS, evidence
-    if m2 <= cfg.flat_factor * m1:
+    if m2 <= FLAT_FACTOR * m1:
         return FAIL, evidence
     return INCONCLUSIVE, evidence
 
 
-def _grade_limit(ns, values, cfg, target=None):
-    values = np.asarray(values, dtype=float)
-    tail = values[3 * len(values) // 4:]
+def _grade_bounded(values):
+    m1, m2 = _window_maxima(np.abs(values))
+    evidence = {"window_maxima": [m1, m2]}
+    if m2 == 0.0 or (m1 > 0.0 and m2 <= FLAT_FACTOR * m1):
+        return PASS, evidence
+    if m1 > 0.0 and m2 >= GROWTH_FACTOR * m1:
+        return FAIL, evidence
+    return INCONCLUSIVE, evidence
+
+
+def _grade_limit(values, target=None):
+    tail = _tail(values)
     osc = float(np.max(tail) - np.min(tail))
     estimate = float(np.mean(tail))
     evidence = {"tail_oscillation": osc, "estimate": estimate}
     err = 0.0 if target is None else abs(estimate - target)
-    tol = cfg.limit_osc_tol
-    if osc < tol and err < tol:
+    if osc < LIMIT_OSC_TOL and err < LIMIT_OSC_TOL:
         return PASS, evidence
-    if osc > 100 * tol or err > 100 * tol:
+    if osc > 100 * LIMIT_OSC_TOL or err > 100 * LIMIT_OSC_TOL:
         return FAIL, evidence
     return INCONCLUSIVE, evidence
 
 
-def _grade_limsup_below(ns, values, bound, cfg):
-    values = np.asarray(values, dtype=float)
-    tail = values[3 * len(values) // 4:]
-    m = float(np.max(tail))
+def _grade_limsup_below(values, bound):
+    m = float(np.max(_tail(values)))
     evidence = {"tail_max": m, "bound": bound}
-    if m < bound * (1.0 - cfg.limsup_margin):
+    if m < bound * (1.0 - LIMSUP_MARGIN):
         return PASS, evidence
     if m >= bound:
-        return FAIL, evidence
-    return INCONCLUSIVE, evidence
-
-
-def _grade_bounded(ns, values, cfg):
-    values = np.abs(np.asarray(values, dtype=float))
-    w1, w2 = _dyadic_windows(np.asarray(ns, dtype=float))
-    m1 = float(np.max(values[w1]))
-    m2 = float(np.max(values[w2]))
-    evidence = {"window_maxima": [m1, m2]}
-    if m2 == 0.0 or (m1 > 0.0 and m2 <= cfg.flat_factor * m1):
-        return PASS, evidence
-    if m1 > 0.0 and m2 >= cfg.growth_factor * m1:
         return FAIL, evidence
     return INCONCLUSIVE, evidence
 
@@ -391,71 +368,61 @@ def overall_verdict(verdicts):
     return PASS
 
 
-def _verdict(cond_id, graded):
-    verdict, evidence = graded
-    return ConditionVerdict(cond_id, verdict, evidence)
-
-
 # --- theorem checkers ------------------------------------------------------
 
 
-def _checker_size(n_max, config):
-    """(config, N) of a checker graded on n = 0..N; N >= 100."""
+def _checker_size(n_max):
+    """N of a checker graded on n = 0..N; N >= 100."""
     if n_max < 100:
         raise DomainError("n_max must be >= 100")
-    return config or DEFAULT_CONFIG, int(n_max)
+    return int(n_max)
 
 
-def check_theorem_A(seq, alpha, n_max, config=None):
+def check_theorem_A(seq, alpha, n_max):
     """Grade the seven hypotheses of the main continuous-spectrum theorem."""
-    cfg, N = _checker_size(n_max, config)
+    N = _checker_size(n_max)
     a, b = seq.a_array(N + 2), seq.b_array(N + 2)
     al = alpha.array(N + 2)
 
-    ns1 = np.arange(1, N)      # terms needing n-1 and n+1
+    # terms at n = 1..N-1, needing n-1 and n+1
     terms_b = negative_part((a[2: N + 1] / a[1:N]) * (al[2: N + 1] / al[1:N])
                             - (a[1:N] / a[: N - 1]) * (al[: N - 1] / al[1:N]))
-    ns_c = np.arange(1, N + 1)
     terms_c = np.abs(a[:N] / a[1: N + 1] - al[:N] / al[1: N + 1]) / a[:N]
-    ns_d = np.arange(1, N + 1)  # the n = 0 summand vanishes (alpha(-1) = 0)
+    # from n = 1: the n = 0 summand vanishes (alpha(-1) = 0)
     terms_d = np.abs(b[2: N + 2] / a[1: N + 1]
                      - (b[1: N + 1] / a[:N]) * (al[:N] / al[1: N + 1]))
-    ns_e = np.arange(0, N + 1)
     terms_e = 1.0 / (a[: N + 1] * al[: N + 1])
     ratio_f = (al[:N] / al[1: N + 1]) * (a[1: N + 1] / a[:N])
 
-    verdicts = [
-        _verdict("ThmA.a", _grade_growth_to_inf(ns_e, a[: N + 1], cfg)),
-        _verdict("ThmA.b", _grade_summable(ns1, terms_b, cfg)),
-        _verdict("ThmA.c", _grade_summable(ns_c, terms_c, cfg)),
-        _verdict("ThmA.d", _grade_summable(ns_d, terms_d, cfg)),
-        _verdict("ThmA.e", _grade_divergent(ns_e, terms_e, cfg)),
-        _verdict("ThmA.f", _grade_limit(ns_c, ratio_f, cfg, target=1.0)),
-        _verdict("ThmA.g", _grade_limsup_below(
-            ns_e, np.abs(b[: N + 1]) / a[: N + 1], 2.0, cfg)),
+    return [
+        ConditionVerdict("ThmA.a", *_grade_growth_to_inf(a[: N + 1])),
+        ConditionVerdict("ThmA.b", *_grade_summable(terms_b, first=1)),
+        ConditionVerdict("ThmA.c", *_grade_summable(terms_c, first=1)),
+        ConditionVerdict("ThmA.d", *_grade_summable(terms_d, first=1)),
+        ConditionVerdict("ThmA.e", *_grade_divergent(terms_e)),
+        ConditionVerdict("ThmA.f", *_grade_limit(ratio_f, target=1.0)),
+        ConditionVerdict("ThmA.g", *_grade_limsup_below(
+            np.abs(b[: N + 1]) / a[: N + 1], 2.0)),
     ]
-    return verdicts
 
 
-def check_corollary_B(seq, n_max, config=None):
+def check_corollary_B(seq, n_max):
     """The alpha = a specialization: five directly checkable hypotheses."""
-    cfg, N = _checker_size(n_max, config)
+    N = _checker_size(n_max)
     a, b = seq.a_array(N + 2), seq.b_array(N + 2)
-    ns = np.arange(0, N + 1)
 
     terms_c = negative_part(
         _elementwise(lambda r: r ** 2, a[1: N + 2] / a[: N + 1]) - 1.0)
     terms_e = np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1]
 
-    verdicts = [
-        _verdict("CorB.a", _grade_growth_to_inf(ns, a[: N + 1], cfg)),
-        _verdict("CorB.b", _grade_divergent(ns, 1.0 / a[: N + 1] ** 2, cfg)),
-        _verdict("CorB.c", _grade_summable(ns, terms_c, cfg)),
-        _verdict("CorB.d", _grade_limsup_below(
-            ns, np.abs(b[: N + 1]) / a[: N + 1], 2.0, cfg)),
-        _verdict("CorB.e", _grade_summable(ns, terms_e, cfg)),
+    return [
+        ConditionVerdict("CorB.a", *_grade_growth_to_inf(a[: N + 1])),
+        ConditionVerdict("CorB.b", *_grade_divergent(1.0 / a[: N + 1] ** 2)),
+        ConditionVerdict("CorB.c", *_grade_summable(terms_c)),
+        ConditionVerdict("CorB.d", *_grade_limsup_below(
+            np.abs(b[: N + 1]) / a[: N + 1], 2.0)),
+        ConditionVerdict("CorB.e", *_grade_summable(terms_e)),
     ]
-    return verdicts
 
 
 @dataclass
@@ -468,22 +435,19 @@ class CorollaryCResult:
     undefined_ratios: int
 
 
-def check_corollary_C(seq, n_max, config=None):
+def check_corollary_C(seq, n_max):
     """Essential-spectrum half-line evidence, plus the one-quarter ratio."""
-    cfg, N = _checker_size(n_max, config)
+    N = _checker_size(n_max)
     a, b = seq.a_array(N + 2), seq.b_array(N + 2)
-    ns = np.arange(0, N + 1)
 
     terms_c = negative_part(a[1: N + 2] / a[: N + 1] - 1.0)
-    ns_d = np.arange(1, N + 1)
-    m_terms = a[:N] - b[1: N + 1] + a[1: N + 1]
+    m_terms = a[:N] - b[1: N + 1] + a[1: N + 1]     # n = 1..N
 
-    graded_d = _grade_limit(ns_d, m_terms, cfg)
     verdicts = [
-        _verdict("CorC.a", _grade_growth_to_inf(ns, a[: N + 1], cfg)),
-        _verdict("CorC.b", _grade_divergent(ns, 1.0 / a[: N + 1], cfg)),
-        _verdict("CorC.c", _grade_summable(ns, terms_c, cfg)),
-        _verdict("CorC.d", graded_d),
+        ConditionVerdict("CorC.a", *_grade_growth_to_inf(a[: N + 1])),
+        ConditionVerdict("CorC.b", *_grade_divergent(1.0 / a[: N + 1])),
+        ConditionVerdict("CorC.c", *_grade_summable(terms_c)),
+        ConditionVerdict("CorC.d", *_grade_limit(m_terms)),
     ]
 
     denom = b[: N + 1] * b[1: N + 2]
@@ -491,64 +455,60 @@ def check_corollary_C(seq, n_max, config=None):
         ratio = np.where(denom > 0.0, a[: N + 1] ** 2 / denom, np.nan)
     valid = np.isfinite(ratio)
     ratio_tail = float(ratio[valid][-1]) if np.any(valid) else float("nan")
-    tail = m_terms[3 * len(m_terms) // 4:]
+    limit = verdicts[-1].evidence
     return CorollaryCResult(
         verdicts=verdicts,
-        M=float(np.mean(tail)),
-        M_dispersion=float(np.max(tail) - np.min(tail)),
+        M=limit["estimate"],
+        M_dispersion=limit["tail_oscillation"],
         ratio=ratio,
         ratio_tail=ratio_tail,
         undefined_ratios=int(np.sum(~valid)),
     )
 
 
-def check_theorem_42(seq, n_max, config=None):
+def check_theorem_42(seq, n_max):
     """Bounded-variation hypotheses (the alpha == 1 specialization).
 
     The source result states a plain limit in its last hypothesis; we grade
     a limsup for uniformity with the main theorem and record that choice in
     the evidence.
     """
-    cfg, N = _checker_size(n_max, config)
+    N = _checker_size(n_max)
     a, b = seq.a_array(N + 2), seq.b_array(N + 2)
-    ns = np.arange(0, N + 1)
-
-    def bv_terms(values):
-        return np.abs(np.diff(values))
 
     bv_sets = {
-        "a_ratio": bv_terms(a[: N + 1] / a[1: N + 2]),
-        "inv_a": bv_terms(1.0 / a[: N + 2]),
-        "b_over_a": bv_terms(b[: N + 2] / a[: N + 2]),
+        "a_ratio": a[: N + 1] / a[1: N + 2],
+        "inv_a": 1.0 / a[: N + 2],
+        "b_over_a": b[: N + 2] / a[: N + 2],
     }
-    bv_grades = {k: _grade_summable(np.arange(1, len(t) + 1), t, cfg)
-                 for k, t in bv_sets.items()}
+    # bounded variation: the terms |v(n) - v(n-1)| from n = 1
+    bv_grades = {k: _grade_summable(np.abs(np.diff(v)), first=1)
+                 for k, v in bv_sets.items()}
     bv_verdict = overall_verdict(
-        [ConditionVerdict(k, g[0], g[1]) for k, g in bv_grades.items()])
+        [ConditionVerdict(k, *g) for k, g in bv_grades.items()])
 
-    graded_d = _grade_limsup_below(ns, np.abs(b[: N + 1]) / a[: N + 1], 2.0, cfg)
-    d_evidence = dict(graded_d[1])
+    d_verdict, d_evidence = _grade_limsup_below(np.abs(b[: N + 1]) / a[: N + 1],
+                                                2.0)
     d_evidence["note"] = "limsup graded where the source states a limit"
 
-    verdicts = [
-        _verdict("Thm42.a", _grade_growth_to_inf(ns, a[: N + 1], cfg)),
-        _verdict("Thm42.b", _grade_divergent(ns, 1.0 / a[: N + 1], cfg)),
+    return [
+        ConditionVerdict("Thm42.a", *_grade_growth_to_inf(a[: N + 1])),
+        ConditionVerdict("Thm42.b", *_grade_divergent(1.0 / a[: N + 1])),
         ConditionVerdict("Thm42.c", bv_verdict,
                          {k: {"verdict": g[0], **g[1]}
                           for k, g in bv_grades.items()}),
-        ConditionVerdict("Thm42.d", graded_d[0], d_evidence),
+        ConditionVerdict("Thm42.d", d_verdict, d_evidence),
     ]
-    return verdicts
 
 
-def check_theorem_43(seq, K, n_max, n_start=None, config=None):
+def check_theorem_43(seq, K, n_max, n_start=None):
     """Iterated-log envelope hypotheses.
 
     The envelope slack c(n) is reconstructed as the positive excess of
     a(n)/a(n-1) outside [1 - c, 1 + 1/n + sum_j 1/(n g_j(n)) + c] and its
     summability graded.
     """
-    cfg, N = _checker_size(n_max, config)
+    N = _checker_size(n_max)
     K = int(K)
     if n_start is None:
         n_start = max(2, _first_iterlog_valid(K))
@@ -556,7 +516,6 @@ def check_theorem_43(seq, K, n_max, n_start=None, config=None):
         raise DomainError("the K=%d envelope starts at n=%d, past n_max=%d"
                           % (K, n_start, N))
     a, b = seq.a_array(N + 2), seq.b_array(N + 2)
-    ns_all = np.arange(0, N + 1)
 
     ns_b = np.arange(n_start, N + 1)
     ratio = a[n_start: N + 1] / a[n_start - 1: N]
@@ -566,24 +525,20 @@ def check_theorem_43(seq, K, n_max, n_start=None, config=None):
     slack = np.maximum(0.0, np.maximum(1.0 - ratio, ratio - envelope))
 
     terms_bv = np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1]
-    graded_bounded = _grade_bounded(ns_all, b[: N + 1], cfg)
-    graded_bv = _grade_summable(ns_all, terms_bv, cfg)
-    c_verdict = overall_verdict([
-        ConditionVerdict("bounded", graded_bounded[0], graded_bounded[1]),
-        ConditionVerdict("bv", graded_bv[0], graded_bv[1]),
-    ])
+    graded_bounded = _grade_bounded(b[: N + 1])
+    graded_bv = _grade_summable(terms_bv)
+    c_verdict = overall_verdict([ConditionVerdict("bounded", *graded_bounded),
+                                 ConditionVerdict("bv", *graded_bv)])
 
-    ns_d = np.arange(1, N + 1)
-    terms_d = 1.0 / (ns_d * a[1: N + 1])
+    terms_d = 1.0 / (np.arange(1, N + 1) * a[1: N + 1])
 
-    verdicts = [
-        _verdict("Thm43.a", _grade_growth_to_inf(ns_all, a[: N + 1], cfg)),
-        _verdict("Thm43.b", _grade_summable(ns_b, slack, cfg)),
+    return [
+        ConditionVerdict("Thm43.a", *_grade_growth_to_inf(a[: N + 1])),
+        ConditionVerdict("Thm43.b", *_grade_summable(slack, first=n_start)),
         ConditionVerdict("Thm43.c", c_verdict,
                          {"bounded": graded_bounded[1], "bv": graded_bv[1]}),
-        _verdict("Thm43.d", _grade_summable(ns_d, terms_d, cfg)),
+        ConditionVerdict("Thm43.d", *_grade_summable(terms_d, first=1)),
     ]
-    return verdicts
 
 
 # --- export ----------------------------------------------------------------

@@ -45,6 +45,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -77,12 +78,16 @@ CATALOG_FAMILIES = (
 )
 
 
-class _Overflow(DomainError):
-    """A builtin overflowed binary64 at ``index`` of a checked build."""
+class _ArithmeticFault(DomainError):
+    """A builtin overflowed binary64 or divided by zero at ``index`` of a
+    checked build; ``what`` says which, e.g. for 0.0 ** -0.5."""
 
-    def __init__(self, index):
-        super().__init__("entry %d overflows binary64" % index)
+    def __init__(self, index, exc):
+        overflow = isinstance(exc, OverflowError)
         self.index = index
+        self.what = "overflows" if overflow else "is undefined (%s)" % exc
+        super().__init__("entry %d %s" % (
+            index, "overflows binary64" if overflow else self.what))
 
 
 def _per_index(fn):
@@ -114,7 +119,8 @@ def _checked(build, lo, hi, valid=None, reject=None):
     before an earlier one (a parent's overflow before an inf product), so a
     failing range is bisected to its first failing index: the fault raised
     is the one that evaluating the entries in index order meets first, and
-    an OverflowError becomes :class:`_Overflow` naming that index.
+    an OverflowError or ZeroDivisionError becomes :class:`_ArithmeticFault`
+    naming that index.
     """
     if hi < lo:
         raise DomainError("index range stop %d is below its start %d" % (hi, lo))
@@ -135,7 +141,7 @@ def _checked(build, lo, hi, valid=None, reject=None):
 
     try:
         return check(hi)
-    except (DomainError, OverflowError) as exc:
+    except (DomainError, ArithmeticError) as exc:
         fault = exc
     good, bad = lo, hi          # check(good) passes, check(bad) raises fault
     while bad - good > 1:
@@ -143,10 +149,10 @@ def _checked(build, lo, hi, valid=None, reject=None):
         try:
             check(mid)
             good = mid
-        except (DomainError, OverflowError) as exc:
+        except (DomainError, ArithmeticError) as exc:
             bad, fault = mid, exc
-    if isinstance(fault, OverflowError):
-        raise _Overflow(bad - 1) from None
+    if isinstance(fault, ArithmeticError):
+        raise _ArithmeticFault(bad - 1, fault) from None
     raise fault
 
 
@@ -180,9 +186,9 @@ class SequencePair:
                 self._build[label], lo, end, _positive if label == "a" else None,
                 lambda n, v: "a(%d) = %r violates positivity for family %r"
                 % (n, v, self.name))
-        except _Overflow as exc:
-            raise DomainError("%s(%d) overflows for family %r"
-                              % (label, exc.index, self.name)) from None
+        except _ArithmeticFault as exc:
+            raise DomainError("%s(%d) %s for family %r"
+                              % (label, exc.index, exc.what, self.name)) from None
         if end < hi:
             raise DomainError("index %d out of range for finite sequence of "
                               "length %d" % (end, self.length))
@@ -391,9 +397,13 @@ def _parse_number(text, offset):
     if not _NUMBER_RE.match(text):
         raise ParseError("invalid number %r" % text, position=offset)
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         return float(text)
+    if abs(value) > sys.float_info.max:
+        raise ParseError("integer of %d digits is outside the binary64 range"
+                         % len(text.lstrip("+-")), position=offset)
+    return value
 
 
 def parse_family(text):

@@ -179,28 +179,23 @@ class PiWeights:
 
     The exact ratio recursion pi(n+1)/pi(n) = lambda(n)/mu(n+1) holds in
     log arithmetic, which survives geometric growth or decay.  The logs
-    are one running sum, extended as far as the largest index asked for.
+    are one running sum up to the largest index asked for.
     """
 
     def __init__(self, rates):
         self._rates = rates
-        self._log_pi = np.zeros(1)
 
     def log_pi(self, n):
         """log pi(n); ``n`` may also be an array of indices."""
-        done, last = len(self._log_pi) - 1, int(np.max(n, initial=0))
-        if last > done:
-            # (lp + log lambda(k)) - log mu(k+1), summed in that order
-            entries = _checked(_rate_sequence(self._rates), 2 * done + 1,
-                               2 * last + 1)
-            steps = np.empty(len(entries) + 1)
-            steps[0] = self._log_pi[-1]
-            steps[1:] = _elementwise(math.log, entries)
-            np.negative(steps[2::2], out=steps[2::2])
-            with np.errstate(invalid="ignore"):     # inf - inf, as floats
-                sums = np.cumsum(steps)[2::2]
-            self._log_pi = np.concatenate((self._log_pi, sums))
-        return self._log_pi[n]
+        last = int(np.max(n, initial=0))
+        # (lp + log lambda(k)) - log mu(k+1), summed in that order
+        entries = _checked(_rate_sequence(self._rates), 1, 2 * last + 1)
+        steps = np.zeros(len(entries) + 1)
+        steps[1:] = _elementwise(math.log, entries)
+        np.negative(steps[2::2], out=steps[2::2])
+        with np.errstate(invalid="ignore"):     # inf - inf, as floats
+            log_pi = np.cumsum(steps)[::2]
+        return log_pi[n]
 
     def pi(self, n):
         return math.exp(self.log_pi(n))
@@ -269,22 +264,19 @@ def bd_square_root_route(rates):
         name="bd-root(%s)" % rates.name, length=length)
 
 
-def bd_check_theorem_51(rates, n_max, config=None):
+def bd_check_theorem_51(rates, n_max):
     """Grade the generator-spectrum hypotheses on the interleaved sequence.
 
     On an overall pass the predicted conclusion is that the generator is
     self-adjoint with no eigenvalues and spectrum (-inf, 0].
     """
-    cfg, N = _diag._checker_size(n_max, config)
+    N = _diag._checker_size(n_max)
     a = bd_interleaved(rates).a_array(N + 2)
-    ns = np.arange(0, N + 1)
     terms_c = _diag.negative_part(a[1: N + 2] / a[: N + 1] - 1.0)
     verdicts = [
-        ConditionVerdict("Thm51.a",
-                         *_diag._grade_growth_to_inf(ns, a[: N + 1], cfg)),
-        ConditionVerdict("Thm51.b",
-                         *_diag._grade_divergent(ns, 1.0 / a[: N + 1], cfg)),
-        ConditionVerdict("Thm51.c", *_diag._grade_summable(ns, terms_c, cfg)),
+        ConditionVerdict("Thm51.a", *_diag._grade_growth_to_inf(a[: N + 1])),
+        ConditionVerdict("Thm51.b", *_diag._grade_divergent(1.0 / a[: N + 1])),
+        ConditionVerdict("Thm51.c", *_diag._grade_summable(terms_c)),
     ]
     conclusion = ("sigma(Q) = (-inf, 0]" if overall_verdict(verdicts) == "pass"
                   else None)

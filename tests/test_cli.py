@@ -111,6 +111,8 @@ def test_check_theorem_43_deep_K_exits_3_quickly(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+ZEROS = "0" * 400
+
 # table files written by the test below, by name
 TABLES = {
     "bad_number": "0,1\n1,x\n",
@@ -176,6 +178,20 @@ TABLES = {
     (["transform", "odd", "--seq", "pow:alpha=200", "--n", "200"], 3),
     (["check", "--theorem", "B", "--seq", "pow:alpha=400", "--n", "200"], 3),
     (["transform", "even", "--seq", "table:{huge}", "--n", "1"], 3),
+    # a(0) = 0.0 ** alpha with alpha < 0
+    (["transform", "even", "--seq", "pow-shifted:alpha=-0.5", "--n", "5"], 3),
+    (["spectrum", "--seq", "pow-shifted:alpha=-0.5", "--size", "5"], 3),
+    (["analyze", "--seq", "pow-shifted:alpha=-1", "--n", "50"], 3),
+    # integer parameters outside the binary64 range
+    (["spectrum", "--seq", "pow:alpha=1" + ZEROS, "--size", "5"], 2),
+    (["spectrum", "--seq", "pow-shifted:alpha=1" + ZEROS, "--size", "5"], 2),
+    (["spectrum", "--seq", "paired:eps=1" + ZEROS + ",inner=const",
+      "--size", "5"], 2),
+    (["transform", "flip", "--seq", "pow:alpha=-1" + ZEROS, "--n", "3"], 2),
+    (["check", "--theorem", "B", "--seq", "iterlog:k=1,m=1" + ZEROS,
+      "--n", "200"], 2),
+    (["check", "--theorem", "B", "--seq", "iterlog:k=1" + ZEROS + ",m=16",
+      "--n", "200"], 2),
 ])
 def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
     paths = {"missing": str(tmp_path / "missing.csv"),
@@ -214,6 +230,26 @@ def test_density_through_exact_zero_pivots_is_silent(tmp_path, capsys):
                  id="flip-negative-n"),
     pytest.param(["transform", "bd", "--bd", "lam=linear,mu=linear",
                   "--n", "-5"], 2, id="bd-negative-n"),
+    pytest.param(["transform", "even", "--seq", "pow-shifted:alpha=-0.5",
+                  "--n", "5"], 3, id="even-pow-shifted-negative-alpha"),
+    pytest.param(["spectrum", "--seq", "pow-shifted:alpha=-0.5", "--size", "5"],
+                 3, id="spectrum-pow-shifted-negative-alpha"),
+    pytest.param(["analyze", "--seq", "pow-shifted:alpha=-1", "--n", "50"], 3,
+                 id="analyze-pow-shifted-negative-alpha"),
+    pytest.param(["spectrum", "--seq", "pow:alpha=1" + ZEROS, "--size", "5"],
+                 2, id="spectrum-pow-huge-alpha"),
+    pytest.param(["spectrum", "--seq", "pow-shifted:alpha=1" + ZEROS,
+                  "--size", "5"], 2, id="spectrum-pow-shifted-huge-alpha"),
+    pytest.param(["spectrum", "--seq", "paired:eps=1" + ZEROS + ",inner=const",
+                  "--size", "5"], 2, id="spectrum-paired-huge-eps"),
+    pytest.param(["transform", "flip", "--seq", "pow:alpha=-1" + ZEROS,
+                  "--n", "3"], 2, id="flip-pow-huge-negative-alpha"),
+    pytest.param(["check", "--theorem", "B", "--seq",
+                  "iterlog:k=1,m=1" + ZEROS, "--n", "200"], 2,
+                 id="check-iterlog-huge-m"),
+    pytest.param(["check", "--theorem", "B", "--seq",
+                  "iterlog:k=1" + ZEROS + ",m=16", "--n", "200"], 2,
+                 id="check-iterlog-huge-k"),
 ])
 def test_error_exit_leaves_no_csv(argv, code, tmp_path):
     rates = tmp_path / "rates.csv"

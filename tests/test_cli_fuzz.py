@@ -43,7 +43,7 @@ PATHS += [FIXTURES.name, os.path.join(FIXTURES.name, "missing.csv")]
 PLAIN = st.sampled_from(["0", "1", "-1", "0.5", "2.5", "-3", "16", "1e-9"])
 NUMBERS = st.one_of(PLAIN, PLAIN, st.sampled_from([
     "400", "1e-320", "1e12", "1e300", "-1e300", "nan", "inf", "-inf", "x", "",
-    "1,2"]))
+    "1,2", "1" + "0" * 400, "-1" + "0" * 400]))
 FAMILIES = st.sampled_from(
     ["const", "pow", "pow-shifted", "paired", "factorial-staircase",
      "iterlog", "chihara", "table", "nope", ""])
@@ -57,7 +57,8 @@ def specs(draw):
         return draw(st.sampled_from(
             ["const", "pow:alpha=0.5", "chihara", "factorial-staircase",
              "paired:eps=0.01,inner=pow,alpha=1", "iterlog:k=1,m=16",
-             "pow-shifted:alpha=0.5", "iterlog:k=2,m=2", "pow:alpha=400"]))
+             "pow-shifted:alpha=0.5", "iterlog:k=2,m=2", "pow:alpha=400",
+             "pow-shifted:alpha=-0.5", "pow:alpha=1" + "0" * 400]))
     if kind < 7:
         return "table:" + draw(st.sampled_from(PATHS))
     if kind < 9:

@@ -63,6 +63,9 @@ def test_parse_table_special_form(tmp_path):
     "", "bogus", "pow", "pow:alpha", "pow:alpha=", "pow:=1",
     "pow:alpha=abc", "const:", "table:", "paired:eps=1",
     "const:inner=pow", "paired:eps=0,inner=pow,alpha=0.5",
+    # integers outside the binary64 range
+    pytest.param("pow:alpha=1" + "0" * 400, id="pow-huge-integer"),
+    pytest.param("iterlog:k=1,m=-1" + "0" * 400, id="iterlog-huge-integer"),
 ])
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
@@ -119,6 +122,14 @@ def test_pow_shifted_alternates():
     assert seq.a(1) == 1.0
     assert seq.a(2) == pytest.approx(math.sqrt(2.0) + 1.0)
     assert seq.a(3) == pytest.approx(math.sqrt(3.0))
+
+
+def test_pow_shifted_negative_alpha_is_domain_error_at_zero():
+    with pytest.warns(UserWarning):
+        seq = instantiate("pow-shifted:alpha=-0.5")
+    # a(0) = 0.0 ** -0.5 is undefined
+    with pytest.raises(DomainError, match=r"^a\(0\) is undefined"):
+        seq.a_array(3)
 
 
 def test_paired_duplication():
