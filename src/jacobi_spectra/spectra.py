@@ -17,6 +17,10 @@ row-by-row sweep that substitutes ``-pivmin``, so the counts are
 bit-identical to that sweep's.  Its cost is numpy call overhead, not
 arithmetic: the shift vectors are a few hundred long.
 
+Gauss weights come from one three-term recurrence over all nodes at once,
+in plain float arithmetic kept in range by exact power-of-two rescaling
+(:func:`_gauss_weights`).
+
 Finite sections are only *evidence* about the spectrum of the infinite
 operator: they can place spurious eigenvalues inside genuine spectral
 gaps (the alternating power family with its gap (-1, 1) is the standard
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .recurrence import _elementwise, _log_abs, _write_columns
+from .recurrence import _write_columns
 # unused here; perfbench/tracing.py patches spectra.poly_eval
 from .recurrence import poly_eval  # noqa: F401
 
@@ -267,16 +271,20 @@ def density_report(seq, order, window, bin_width):
 def _gauss_weights(t, nodes):
     """Christoffel weights 1 / sum_j p_j(x_k)**2 for all nodes in one pass.
 
-    The loop runs over the degree n with the nodes as a vector; each step
-    is the log-scaled recurrence of :func:`recurrence.propagate`, which
-    keeps (p_n, p_{n+1}) on the unit circle and carries the log of its
-    magnitude apart, so nothing overflows.  ``hypot``, ``log`` and ``exp``
-    are the ``math`` functions applied elementwise because numpy's
-    versions differ in the last bit for some inputs: with them every
-    weight is bit-identical to the scalar recurrence run node by node.
-    The sum of squares is folded into a running ``logaddexp`` in order of
-    n, as ``np.logaddexp.reduce`` folds a polynomial trace, so no
-    (N, nodes) array is stored.
+    The loop runs over the degree n with the nodes as a vector, in plain
+    float arithmetic.  Each node carries the pair (p_{n-1}, p_n) and the
+    running sum s of p_j**2, j < n, divided by 2**e and 2**(2e) for an
+    integer exponent e of its own.  Before p_n**2 is added, a p_n of 1 or
+    more is brought into [1/2, 1) by the power of two 2**-k, k its
+    ``np.frexp`` exponent, and p_{n-1} and s are scaled with it by 2**-k
+    and 2**-2k.  A multiplication by a power of two rounds nothing above
+    the subnormal range, so the only rounding is that of the recurrence
+    and the sum, and nothing that is squared or summed reaches N.  The
+    scale never grows back: scaling up where the p_j shrink would overflow
+    s, which holds p_0**2 = 1 in true scale; a pair that shrinks past the
+    subnormal range below the largest p_j so far adds nothing to s.  The
+    weight is ``ldexp(1/s, -2e)`` with s >= 1/4, rounded once, and 0 where
+    it is below binary64's range.  No (N, nodes) array is stored.
     """
     nodes = np.asarray(nodes, dtype=float)
     if t.order == 1:
@@ -286,24 +294,20 @@ def _gauss_weights(t, nodes):
     a = np.concatenate((t.offdiag, [1.0]))
     b = t.diag
     x, y = np.ones(len(nodes)), (nodes - b[0]) / a[0]
-    r = _elementwise(math.hypot, x, y)
-    x /= r
-    y /= r
-    logscale = _elementwise(math.log, r)
-    log_sum = _log_abs(x, logscale)
-    log_sum *= 2.0
-    for n in range(1, t.order):
-        # a(n) p(n+1) = (lam - b(n)) p(n) - a(n-1) p(n-1), scale-free
-        y_new = ((nodes - b[n]) * y - a[n - 1] * x) / a[n]
-        r = _elementwise(math.hypot, y, y_new)
-        y /= r
-        y_new /= r
-        x, y = y, y_new
-        logscale += _elementwise(math.log, r)
-        log_sq = _log_abs(x, logscale)
-        log_sq *= 2.0
-        log_sum = np.logaddexp(log_sum, log_sq)
-    return _elementwise(lambda v: math.exp(-v), log_sum)
+    s, e = x.copy(), np.zeros(len(nodes), dtype=np.int64)
+    # far from the spectrum a weight, or a shrinking pair, underflows to 0
+    # on purpose, even where the caller traps underflow
+    with np.errstate(under="ignore"):
+        for n in range(1, t.order):
+            k = -np.maximum(np.frexp(y)[1], 0)
+            e -= k
+            x = np.ldexp(x, k)
+            y = np.ldexp(y, k)
+            s = np.ldexp(s, k + k)
+            s += y * y
+            # a(n) p(n+1) = (lam - b(n)) p(n) - a(n-1) p(n-1)
+            x, y = y, ((nodes - b[n]) * y - a[n - 1] * x) / a[n]
+        return np.ldexp(1.0 / s, -2 * e)
 
 
 def gauss_measure(t, tol=None):

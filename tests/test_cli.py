@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -213,6 +214,24 @@ def test_density_through_exact_zero_pivots_is_silent(tmp_path, capsys):
                 "--bin", "0.25", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert (out / "density.csv").exists()
+
+
+@pytest.mark.parametrize("big", ["1e300", "1e200"])
+def test_spectrum_weights_of_huge_diagonal_are_silent(big, tmp_path, capsys):
+    # b alternating +-big with a = 1: p_n passes binary64's range in two rows
+    table = tmp_path / "huge_b.csv"
+    table.write_text("".join("%d,1,%s%s\n" % (n, "-" if n % 2 else "", big)
+                             for n in range(20)))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["spectrum", "--seq", "table:" + str(table), "--size", "20",
+                    "--weights", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+    weights = [float(row.split(",")[2]) for row in rows]
+    assert len(weights) == 20
+    assert all(0.0 <= w <= 1.0 for w in weights)
 
 
 @pytest.mark.parametrize("argv, code", [

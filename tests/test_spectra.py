@@ -364,7 +364,8 @@ def test_gauss_moments_match_matrix_entries():
 
 
 def _per_node_gauss_weights(t, nodes):
-    """Reference weights: one scalar poly_eval per node."""
+    """Weights of the log-scaled scalar recurrence, one poly_eval per node:
+    the accuracy baseline that the vectorised weights must beat."""
     seq = SequencePair(
         lambda n: t.offdiag[n] if n < t.order - 1 else 1.0,
         lambda n: t.diag[n], name="truncation", length=t.order,
@@ -379,21 +380,89 @@ def _per_node_gauss_weights(t, nodes):
     return weights
 
 
+def _longdouble_gauss_weights(t, nodes):
+    """Reference weights: the same recurrence in np.longdouble.
+
+    The pair is divided by the power of two of its larger entry at every
+    step, up or down, and the sum with it; longdouble's exponent range
+    keeps that sum finite for every truncation here.  The weight is
+    rounded to binary64 once, at the end.
+    """
+    ld = np.longdouble
+    nodes = np.asarray(nodes, dtype=ld)
+    if t.order == 1:
+        return np.ones(len(nodes))
+    a = np.concatenate((t.offdiag, [1.0])).astype(ld)
+    b = t.diag.astype(ld)
+    x, y = np.ones(len(nodes), dtype=ld), (nodes - b[0]) / a[0]
+    s, e = x.copy(), np.zeros(len(nodes), dtype=np.int64)
+    with np.errstate(under="ignore"):
+        for n in range(1, t.order):
+            k = np.frexp(np.maximum(np.abs(x), np.abs(y)))[1]
+            e += k
+            x, y, s = np.ldexp(x, -k), np.ldexp(y, -k), np.ldexp(s, -2 * k)
+            s += y * y
+            x, y = y, ((nodes - b[n]) * y - a[n - 1] * x) / a[n]
+        return np.ldexp(1 / s, -2 * e).astype(float)
+
+
+def _relative_errors(weights, reference):
+    """|w - ref| / ref where ref is above the subnormal range."""
+    normal = reference > 1e-280
+    return np.abs(weights[normal] - reference[normal]) / reference[normal]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="np.longdouble is not the x87 80-bit format here")
 @pytest.mark.parametrize("order", [1, 2, 7, 8, 60])
 @pytest.mark.parametrize("text", [
     "const", "pow:alpha=0.5", "pow:alpha=2",
     "paired:eps=0.01,inner=pow,alpha=1", "chihara",
 ])
-def test_gauss_weights_bitwise_match_per_node_recurrence(text, order):
+def test_gauss_weights_match_longdouble_recurrence(text, order):
     t = truncate(instantiate(text), order)
     # 0.0 makes p_1 an exact zero for const; far nodes underflow to weight 0
     nodes = np.concatenate(
         [eigenvalues(t).eigenvalues, [0.0, -0.0, 1e3, -1e6, 1e150]])
     got = _gauss_weights(t, nodes)
-    expected = _per_node_gauss_weights(t, nodes)
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    reference = _longdouble_gauss_weights(t, nodes)
+    assert np.all(got[reference == 0.0] == 0.0)
     if order == 60:
-        assert np.any(got == 0.0)
+        assert np.any(reference == 0.0)
+    errors = _relative_errors(got, reference)
+    # largest seen: 1.4e-14 (const, order 60, at a band-edge node)
+    assert np.max(errors) < 6e-14
+    if order >= 7:
+        parent = _relative_errors(_per_node_gauss_weights(t, nodes),
+                                  reference)
+        assert np.median(errors) < np.median(parent)
+
+
+@pytest.mark.parametrize("diag, offdiag, nodes", [
+    # b alternating +-1e300 or +-1e200 with a = 1: each step multiplies
+    # the pair by ~2|b|, so p_n passes binary64's range within two rows
+    pytest.param(1e300 * (-1.0) ** np.arange(20), np.ones(19), None,
+                 id="b-1e300"),
+    pytest.param(1e200 * (-1.0) ** np.arange(20), np.ones(19), None,
+                 id="b-1e200"),
+    # a alternating 1, 1e150 at the node 0: p_2n = 1e-150**n, p_odd = 0, so
+    # the pair shrinks far below p_0 = 1 and the weight is 1
+    pytest.param(np.zeros(7), np.array([1.0, 1e150] * 3), [0.0],
+                 id="a-1e150-node-0"),
+])
+def test_gauss_weights_silent_and_bounded_on_extreme_coefficients(
+        diag, offdiag, nodes):
+    t = Truncation(diag, offdiag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if nodes is None:
+            weights = eigenvalues(t, weights=True).weights
+        else:
+            weights = _gauss_weights(t, np.array(nodes))
+    assert np.all(np.isfinite(weights))
+    assert np.all((weights >= 0.0) & (weights <= 1.0))
+    if nodes is not None:
+        assert weights[0] == 1.0
 
 
 def test_gauss_discrete_orthonormality():
