@@ -56,7 +56,6 @@ from .spectra import (
     sturm_count,
     eigenvalues,
     density_report,
-    gauss_measure,
 )
 from .transforms import (
     BirthDeathRates,

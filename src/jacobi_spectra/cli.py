@@ -106,14 +106,12 @@ def _resolve_init(text, seq, lam):
     return recurrence.EigvecInit(u0, u1)
 
 
-def _resolve_rates(args):
-    if getattr(args, "rates", None):
-        if os.path.exists(args.rates):
-            return transforms.load_rates_csv(args.rates)
-        return transforms.parse_rates(args.rates)
-    if getattr(args, "bd", None):
-        return transforms.parse_rates(args.bd)
-    raise ParseError("no rates given (use --rates or --bd)")
+def _resolve_rates(text):
+    if not text:
+        raise ParseError("no rates given (use --rates or --bd)")
+    if os.path.exists(text):
+        return transforms.load_rates_csv(text)
+    return transforms.parse_rates(text)
 
 
 def _ensure_outdir(path):
@@ -165,12 +163,12 @@ def cmd_analyze(args):
 
 def cmd_check(args):
     theorem = args.theorem
-    cfg = RunConfig(command="check", seq=args.seq, rates=args.bd or args.rates,
+    cfg = RunConfig(command="check", seq=args.seq, rates=args.rates,
                     n=args.n, alpha=args.alpha, theorem=theorem, K=args.k,
                     out=args.out)
     extra = {"theorem": theorem, "n": args.n, "version": __version__}
     if theorem == "51":
-        rates = _resolve_rates(args)
+        rates = _resolve_rates(args.rates)
         verdicts, conclusion = transforms.bd_check_theorem_51(rates, args.n)
         extra["rates"] = rates.name
         extra["conclusion"] = conclusion
@@ -192,7 +190,8 @@ def cmd_check(args):
         elif theorem == "42":
             verdicts = diagnostics.check_theorem_42(seq, args.n)
         elif theorem == "43":
-            verdicts = diagnostics.check_theorem_43(seq, args.k or 1, args.n)
+            K = 1 if args.k is None else args.k
+            verdicts = diagnostics.check_theorem_43(seq, K, args.n)
         else:
             raise ParseError("unknown theorem %r" % theorem)
     report = diagnostics.verdicts_to_json(verdicts, extra=extra)
@@ -241,12 +240,12 @@ def cmd_transform(args):
     if args.n < 0:
         raise ParseError("--n must be >= 0, got %d" % args.n)
     cfg = RunConfig(command="transform", seq=args.seq,
-                    rates=args.rates or args.bd, n=args.n,
+                    rates=args.rates, n=args.n,
                     theorem=None, out=args.out)
     outdir = _ensure_outdir(args.out or ".")
     kind, n = args.kind, args.n
     if kind == "bd":
-        pair, pi = transforms.bd_to_jacobi(_resolve_rates(args))
+        pair, pi = transforms.bd_to_jacobi(_resolve_rates(args.rates))
         header = ["n", "abar", "bbar", "log_pi"]
         columns = [pair.a_array(n), pair.b_array(n),
                    pi.log_pi(np.arange(n))]
@@ -297,8 +296,9 @@ def build_parser():
     p.add_argument("--theorem", required=True,
                    choices=["A", "B", "C", "42", "43", "51"])
     p.add_argument("--seq")
-    p.add_argument("--bd", help="rates mini-language, e.g. lam=linear,mu=linear")
-    p.add_argument("--rates", help="rates CSV file or mini-language")
+    p.add_argument("--rates", "--bd", dest="rates",
+                   help="rates CSV file or mini-language, "
+                        "e.g. lam=linear,mu=linear")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", default="a")
     p.add_argument("--k", type=int, help="iterated-log depth for theorem 43")
@@ -318,8 +318,9 @@ def build_parser():
     p = sub.add_parser("transform", help="derived-sequence tables")
     p.add_argument("kind", choices=["flip", "even", "odd", "bd"])
     p.add_argument("--seq")
-    p.add_argument("--rates")
-    p.add_argument("--bd")
+    p.add_argument("--rates", "--bd", dest="rates",
+                   help="rates CSV file or mini-language, "
+                        "e.g. lam=linear,mu=linear")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_transform)

@@ -71,7 +71,7 @@ def _log_abs(x, logscale):
     return out
 
 
-def _state_rows(states, count=-1):
+def _state_rows(states, count):
     """A stream of :class:`PropagationState` as rows (x, y, logscale)."""
     return np.fromiter(((s.x, s.y, s.logscale) for s in states),
                        dtype=(float, 3), count=count)
@@ -209,17 +209,11 @@ def log_l2_partial_sums(log_abs):
 
 
 def l2_partial_sums(trace, n_max=None):
-    """Running sums of p(n)**2 (log form) for a trace or a state stream.
+    """Running sums of p(n)**2 (log form) for a :class:`PolyTrace`.
 
-    Accepts a :class:`PolyTrace` or an iterable of
-    :class:`PropagationState`.  Returns an array L with
-    L[m] = log(sum over n <= m of u(n)**2).
+    Returns an array L with L[m] = log(sum over n <= m of p(n)**2).
     """
-    if isinstance(trace, PolyTrace):
-        log_abs = trace.log_abs
-    else:
-        x, _, logscale = _state_rows(trace).T
-        log_abs = _log_abs(x, logscale)
+    log_abs = trace.log_abs
     if n_max is not None:
         if len(log_abs) < n_max + 1:
             raise DomainError("trace shorter than requested length")

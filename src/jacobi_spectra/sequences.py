@@ -15,7 +15,8 @@ family               entries
 ==================== =======================================================
 const                a == 1, b == 0
 pow                  a(n) = (n+1)**alpha, b == 0
-pow-shifted          a(n) = n**alpha + c(n), c = 1,0,1,0,..., b == 0
+pow-shifted          a(n) = n**alpha + c(n), c = 1,0,1,0,..., b == 0;
+                     documented for 0 < alpha <= 2/3 (the gap statement)
 paired               a(0) = eps, a(2k-1) = a(2k) = inner(k-1) for k >= 1
 factorial-staircase  a(0) = 1, a(n) = sqrt(k!) for k! <= n < (k+1)!
 iterlog              a(n) = (n+M) * g_K(n+M), b == 0
@@ -46,7 +47,6 @@ import itertools
 import math
 import re
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,16 +66,17 @@ __all__ = [
     "CATALOG_FAMILIES",
 ]
 
-CATALOG_FAMILIES = (
-    "const",
-    "pow",
-    "pow-shifted",
-    "paired",
-    "factorial-staircase",
-    "iterlog",
-    "chihara",
-    "table",
-)
+# family -> the parameter keys it takes (paired also takes inner=)
+CATALOG_FAMILIES = {
+    "const": (),
+    "pow": ("alpha",),
+    "pow-shifted": ("alpha",),
+    "paired": ("eps",),
+    "factorial-staircase": (),
+    "iterlog": ("k", "m"),
+    "chihara": (),
+    "table": (),
+}
 
 
 class _ArithmeticFault(DomainError):
@@ -409,8 +410,9 @@ def _parse_number(text, offset):
 def parse_family(text):
     """Parse mini-language text into a :class:`FamilySpec`.
 
-    Unknown families and malformed parameters are errors; there is no
-    fallback interpretation.
+    Unknown families and malformed parameters, including a key the family
+    does not take or one given twice, are errors; there is no fallback
+    interpretation.
     """
     if not isinstance(text, str) or not text:
         raise ParseError("empty sequence spec", position=0)
@@ -453,6 +455,11 @@ def parse_family(text):
                     inner_text += ":" + ",".join(tail)
                 inner_spec = parse_family(inner_text)
                 break
+            if key not in CATALOG_FAMILIES[family]:
+                raise ParseError("family %r takes no parameter %r"
+                                 % (family, key), position=pos)
+            if any(key == k for k, _ in params):
+                raise ParseError("parameter %r given twice" % key, position=pos)
             params.append((key, _parse_number(value, pos + len(key) + 1)))
             pos += len(item) + 1
             i += 1
@@ -480,16 +487,8 @@ def render_family(spec):
 
 def _validate_spec(spec):
     fam = spec.family
-    if fam == "pow":
+    if fam in ("pow", "pow-shifted"):
         spec.require("alpha")
-    elif fam == "pow-shifted":
-        alpha = spec.require("alpha")
-        if not 0 < alpha <= 2.0 / 3.0:
-            warnings.warn(
-                "pow-shifted is documented for 0 < alpha <= 2/3; "
-                "got alpha=%r (the gap statement may not apply)" % alpha,
-                stacklevel=3,
-            )
     elif fam == "paired":
         eps = spec.get("eps", 1.0)
         if not eps > 0:
@@ -578,15 +577,11 @@ def instantiate(spec):
     if fam == "iterlog":
         K = int(spec.require("k"))
         M = spec.require("m")
-        if K < 0:
-            raise DomainError("iterlog needs K >= 0")
         try:
-            g_at_M = iterlog_g(K, float(M))
+            iterlog_g(K, float(M))
         except DomainError:
             raise DomainError("iterlog requires every iterated log of M=%r "
                               "to be positive" % M)
-        if not g_at_M > 0.0:
-            raise DomainError("iterlog requires g_K(M) > 0")
 
         def a(lo, hi):
             x = np.fromiter((float(n + M) for n in range(lo, hi)), float, hi - lo)

@@ -2,11 +2,12 @@
 
 The N x N leading principal submatrix of a Jacobi matrix is symmetric
 tridiagonal with positive off-diagonals, hence has simple spectrum.  The
-primitive operation is the Sturm count: the number of eigenvalues strictly
-below a shift, read off the signs of the LDL^T pivot recursion.  Bisection
-on the count yields any eigenvalue to prescribed absolute tolerance, and
-differencing counts at bin edges yields eigenvalue densities without a
-full eigensolve.
+primitive operation is the Sturm count: the number of eigenvalues below a
+shift, read off the signs of the LDL^T pivot recursion (at order >= 2 an
+eigenvalue equal to the shift is counted too when its pivot comes out
+below ``pivmin``, see :func:`sturm_count`).  Bisection on the count yields
+any eigenvalue to prescribed absolute tolerance, and differencing counts
+at bin edges yields eigenvalue densities without a full eigensolve.
 
 One sweep computes the counts for a whole vector of shifts (every bracket
 midpoint of a bisection step, or every bin edge).  It runs down the rows
@@ -44,7 +45,6 @@ __all__ = [
     "sturm_count",
     "eigenvalues",
     "density_report",
-    "gauss_measure",
     "write_spectrum_csv",
     "write_density_csv",
 ]
@@ -181,24 +181,38 @@ def _sturm_setup(t):
     return off2, _SAFE_MIN * scale
 
 
-def sturm_count(t, x):
-    """Number of eigenvalues of the truncation strictly below x.
+def _sturm_counts(t):
+    """The Sturm counter of a truncation: a function shifts -> counts.
 
-    Exact pivot hits are absorbed by substituting a tiny negative pivot,
-    which keeps the count monotone in x.
+    ``_sturm_setup`` runs once, here, so its :class:`DomainError` comes
+    before any count.  Order 1 counts ``b(0) < shift``, strictly, with no
+    pivot substitution.
     """
     if t.order == 1:
-        return int(t.diag[0] - x < 0.0)
+        return lambda shifts: (t.diag[0] < np.asarray(shifts)).astype(np.int64)
     off2, pivmin = _sturm_setup(t)
-    return int(_sturm_counts_vec(t.diag, off2, np.array([x]), pivmin)[0])
+    return lambda shifts: _sturm_counts_vec(t.diag, off2, shifts, pivmin)
+
+
+def sturm_count(t, x):
+    """Number of eigenvalues of the truncation below x.
+
+    Exact pivot hits are absorbed by substituting a tiny negative pivot,
+    which keeps the count monotone in x.  At order >= 2 the substituted
+    pivot counts as negative, so an eigenvalue equal to x whose pivot comes
+    out below ``pivmin`` is counted too: const N=3 (eigenvalues -sqrt 2, 0,
+    sqrt 2) at x=0 gives 2.  At order 1 the count is ``b(0) < x``,
+    strictly below.
+    """
+    return int(_sturm_counts(t)([x])[0])
 
 
 def eigenvalues(t, tol=None, weights=False):
     """All eigenvalues by simultaneous bisection on the Sturm count.
 
     ``tol`` is the absolute tolerance; default 1e-12 * max(1, spectral
-    radius bound).  With ``weights=True`` the Gauss weights are attached
-    (see :func:`gauss_measure`).
+    radius bound).  With ``weights=True`` the Gauss weights are attached:
+    nodes and weights of the N-point Gauss discretization of the measure.
     """
     glo, ghi = t.gershgorin()
     if not math.isfinite(ghi - glo):
@@ -212,7 +226,7 @@ def eigenvalues(t, tol=None, weights=False):
     if N == 1:
         eigs = np.array([t.diag[0]])
     else:
-        off2, pivmin = _sturm_setup(t)
+        counter = _sturm_counts(t)
         pad = 1e-6 * max(ghi - glo, 1.0)
         span = (ghi - glo) + 2.0 * pad
         lo, hi = np.full(N, glo - pad), np.full(N, ghi + pad)
@@ -225,7 +239,7 @@ def eigenvalues(t, tol=None, weights=False):
         steps = min(_MAX_SWEEPS, max(1, int(math.ceil(math.log2(ratio))) + 2))
         for _ in range(steps):
             mid = 0.5 * (lo + hi)
-            counts = _sturm_counts_vec(t.diag, off2, mid, pivmin)
+            counts = counter(mid)
             above = counts >= target
             hi = np.where(above, mid, hi)
             lo = np.where(above, lo, mid)
@@ -238,8 +252,10 @@ def density_report(seq, order, window, bin_width):
     """Eigenvalue counts of the truncation per bin over [x_lo, x_hi).
 
     Counts come from Sturm-count differences at bin edges; no eigensolve.
-    Returns a list of (bin_lo, bin_hi, count).  More than ``_MAX_BINS``
-    bins is a :class:`DomainError`.
+    At order >= 2 :func:`sturm_count` counts an eigenvalue exactly at an
+    edge, so it falls in the bin that ends there: const N=3 puts its 0 in
+    [-1, 0).  Returns a list of (bin_lo, bin_hi, count).  More than
+    ``_MAX_BINS`` bins is a :class:`DomainError`.
     """
     x_lo, x_hi = float(window[0]), float(window[1])
     if not all(map(math.isfinite, (x_lo, x_hi, bin_width))):
@@ -257,11 +273,7 @@ def density_report(seq, order, window, bin_width):
         raise DomainError("%d bins exceed the limit of %d" % (n_bins, _MAX_BINS))
     t = truncate(seq, order)
     edges = x_lo + bin_width * np.arange(n_bins + 1)
-    if t.order == 1:
-        counts = np.array([int(t.diag[0] < e) for e in edges])
-    else:
-        off2, pivmin = _sturm_setup(t)
-        counts = _sturm_counts_vec(t.diag, off2, edges, pivmin)
+    counts = _sturm_counts(t)(edges)
     return [
         (float(edges[i]), float(edges[i + 1]), int(counts[i + 1] - counts[i]))
         for i in range(n_bins)
@@ -287,8 +299,6 @@ def _gauss_weights(t, nodes):
     it is below binary64's range.  No (N, nodes) array is stored.
     """
     nodes = np.asarray(nodes, dtype=float)
-    if t.order == 1:
-        return np.ones(len(nodes))
     # a(N-1) is never part of p_0..p_{N-1}; pad it so the pair at the
     # last index is well-defined
     a = np.concatenate((t.offdiag, [1.0]))
@@ -308,11 +318,6 @@ def _gauss_weights(t, nodes):
             # a(n) p(n+1) = (lam - b(n)) p(n) - a(n-1) p(n-1)
             x, y = y, ((nodes - b[n]) * y - a[n - 1] * x) / a[n]
         return np.ldexp(1.0 / s, -2 * e)
-
-
-def gauss_measure(t, tol=None):
-    """Nodes and weights of the N-point Gauss discretization of the measure."""
-    return eigenvalues(t, tol=tol, weights=True)
 
 
 def write_spectrum_csv(path, spectrum):

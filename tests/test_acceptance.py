@@ -23,7 +23,6 @@ from jacobi_spectra import (
     density_report,
     eigenvalues,
     flip,
-    gauss_measure,
     instantiate,
     iterlog_g,
     iterlog_g_prime,
@@ -295,7 +294,7 @@ def test_criterion_11_gauss_measure():
     for _ in range(6):
         seq = instantiate(str(rng.choice(CATALOG)))
         N = int(rng.integers(5, 31))
-        g = gauss_measure(truncate(seq, N), tol=1e-14)
+        g = eigenvalues(truncate(seq, N), tol=1e-14, weights=True)
         worst_sum = max(worst_sum, abs(float(np.sum(g.weights)) - 1.0))
         P = np.array([poly_eval(seq, x, N - 1).values()
                       for x in g.eigenvalues])

@@ -7,7 +7,8 @@ import warnings
 
 import pytest
 
-from jacobi_spectra import ParseError, instantiate
+from jacobi_spectra import (ParseError, check_theorem_43, instantiate,
+                            verdicts_to_json)
 from jacobi_spectra.cli import _resolve_alpha, main
 
 
@@ -110,6 +111,35 @@ def test_check_theorem_43_deep_K_exits_3_quickly(tmp_path, capsys):
                 "--n", "200", "--out", str(tmp_path)]) == 3
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_check_theorem_43_k_0_runs_K_0(tmp_path):
+    seq_text, n = "pow:alpha=1.5", 2000
+    assert run(["check", "--theorem", "43", "--seq", seq_text, "--k", "0",
+                "--n", str(n), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verdict.json").read_text())
+    assert json.loads((tmp_path / "config.json").read_text())["K"] == 0
+    seq = instantiate(seq_text)
+    expected = verdicts_to_json(check_theorem_43(seq, 0, n))["conditions"]
+    assert report["conditions"] == expected
+    assert expected != verdicts_to_json(
+        check_theorem_43(seq, 1, n))["conditions"]
+
+
+@pytest.mark.parametrize("command, data", [
+    (["check", "--theorem", "51"], "verdict.json"),
+    (["transform", "bd"], "bd.csv"),
+])
+def test_rates_and_bd_are_one_option(command, data, tmp_path):
+    # the last of --bd / --rates is the one that runs and is recorded
+    both, last = tmp_path / "both", tmp_path / "last"
+    rates = "lam=quadratic,mu=quadratic"
+    assert run(command + ["--bd", "lam=linear,mu=linear", "--rates", rates,
+                          "--n", "200", "--out", str(both)]) == 0
+    assert run(command + ["--rates", rates, "--n", "200",
+                          "--out", str(last)]) == 0
+    assert (both / data).read_bytes() == (last / data).read_bytes()
+    assert json.loads((both / "config.json").read_text())["rates"] == rates
 
 
 ZEROS = "0" * 400

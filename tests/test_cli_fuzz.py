@@ -143,3 +143,17 @@ def test_cli_contract_holds_for_generated_input(argv):
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     assert seconds < WALL_BOUND_S, (argv, seconds)
+
+
+# spectrum and transform write nothing to stderr on success; analyze and
+# check A can still overflow in numpy on extreme coefficients (above)
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=st.one_of(SPECTRUM, TRANSFORM))
+def test_success_exit_writes_nothing_to_stderr(argv):
+    with tempfile.TemporaryDirectory() as out:
+        code, err, _ = run_cli(argv + ["--out", out])
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 0:
+        assert err == "", (argv, err)

@@ -66,6 +66,9 @@ def test_parse_table_special_form(tmp_path):
     # integers outside the binary64 range
     pytest.param("pow:alpha=1" + "0" * 400, id="pow-huge-integer"),
     pytest.param("iterlog:k=1,m=-1" + "0" * 400, id="iterlog-huge-integer"),
+    # keys the family does not take, and repeated keys
+    "paired:epsilon=0.01,inner=pow,alpha=1", "const:alpha=2", "chihara:eps=5",
+    "pow:alpha=1,alpha=3", "iterlog:K=2,k=3,m=16",
 ])
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
@@ -76,6 +79,16 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as exc:
         parse_family("bogus:x=1")
     assert exc.value.position == 0
+
+
+@pytest.mark.parametrize("text, position", [
+    ("paired:epsilon=0.01,inner=pow,alpha=1", 7), ("const:alpha=2", 6),
+    ("pow:alpha=1,alpha=3", 12), ("iterlog:k=2,m=16,M=3", 17),
+])
+def test_unknown_or_repeated_key_reports_its_position(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_family(text)
+    assert exc.value.position == position
 
 
 def test_render_round_trip():
@@ -92,11 +105,6 @@ def test_render_round_trip_pow(alpha):
     spec = parse_family("pow:alpha=%r" % alpha)
     assert parse_family(render_family(spec)) == spec
     assert instantiate(spec).a(3) == pytest.approx(4.0 ** alpha)
-
-
-def test_pow_shifted_warns_outside_documented_range():
-    with pytest.warns(UserWarning):
-        parse_family("pow-shifted:alpha=0.9")
 
 
 # --- catalog values --------------------------------------------------------
@@ -125,8 +133,7 @@ def test_pow_shifted_alternates():
 
 
 def test_pow_shifted_negative_alpha_is_domain_error_at_zero():
-    with pytest.warns(UserWarning):
-        seq = instantiate("pow-shifted:alpha=-0.5")
+    seq = instantiate("pow-shifted:alpha=-0.5")
     # a(0) = 0.0 ** -0.5 is undefined
     with pytest.raises(DomainError, match=r"^a\(0\) is undefined"):
         seq.a_array(3)

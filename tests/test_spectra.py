@@ -11,7 +11,6 @@ from jacobi_spectra import (
     DomainError,
     density_report,
     eigenvalues,
-    gauss_measure,
     instantiate,
     poly_eval,
     sturm_count,
@@ -257,6 +256,19 @@ def test_sturm_count_monotone_through_exact_eigenvalue():
     assert counts[0] == 0 and counts[-1] == 3
 
 
+def test_sturm_count_at_an_exact_eigenvalue():
+    # the rule as it stands: at order >= 2 a pivot below pivmin becomes
+    # -pivmin and counts as negative, so an eigenvalue equal to x is
+    # counted; order 1 compares b(0) < x and does not count it
+    t = Truncation(np.zeros(3), np.ones(2))  # eigenvalues -sqrt2, 0, sqrt2
+    assert sturm_count(t, 0.0) == 2
+    assert density_report(instantiate("const"), 3, (-1.0, 1.0), 1.0) == [
+        (-1.0, 0.0, 1), (0.0, 1.0, 0)]
+    assert sturm_count(Truncation(np.zeros(1), np.zeros(0)), 0.0) == 0
+    assert density_report(instantiate("const"), 1, (-1.0, 1.0), 1.0) == [
+        (-1.0, 0.0, 0), (0.0, 1.0, 1)]
+
+
 # --- eigenvalues by bisection ----------------------------------------------
 
 
@@ -345,7 +357,7 @@ def test_density_bin_count_is_capped():
 
 def test_gauss_const_two_points():
     t = truncate(instantiate("const"), 2)
-    g = gauss_measure(t, tol=1e-14)
+    g = eigenvalues(t, tol=1e-14, weights=True)
     assert g.eigenvalues == pytest.approx([-1.0, 1.0], abs=1e-13)
     assert g.weights == pytest.approx([0.5, 0.5], abs=1e-12)
 
@@ -354,7 +366,7 @@ def test_gauss_moments_match_matrix_entries():
     # sum w x = b(0); sum w x**2 = b(0)**2 + a(0)**2
     for text in CATALOG:
         seq = instantiate(text)
-        g = gauss_measure(truncate(seq, 12), tol=1e-14)
+        g = eigenvalues(truncate(seq, 12), tol=1e-14, weights=True)
         w, x = g.weights, g.eigenvalues
         scale = max(1.0, float(np.max(np.abs(x))))
         assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
@@ -468,7 +480,7 @@ def test_gauss_weights_silent_and_bounded_on_extreme_coefficients(
 def test_gauss_discrete_orthonormality():
     seq = instantiate("chihara")
     N = 15
-    g = gauss_measure(truncate(seq, N), tol=1e-14)
+    g = eigenvalues(truncate(seq, N), tol=1e-14, weights=True)
     P = np.array([poly_eval(seq, x, N - 1).values() for x in g.eigenvalues])
     gram = P.T @ (g.weights[:, None] * P)
     assert np.max(np.abs(gram - np.eye(N))) < 1e-8
