@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__
 from .errors import JacobiError, ParseError
 from . import diagnostics, recurrence, spectra, transforms
-from .sequences import (WeightSequence, _read_lines, instantiate,
+from .sequences import (WeightSequence, _read_table, instantiate,
                         parse_family)
 
 EXIT_OK = 0
@@ -75,35 +75,36 @@ def _resolve_alpha(choice, seq):
         return WeightSequence.from_a(seq)
     if choice == "one":
         return WeightSequence.ones()
-    if choice.startswith("iterlog"):
-        _, _, k = choice.partition(":")
+    name, sep, arg = choice.partition(":")
+    if name == "iterlog":
         try:
-            K = int(k) if k else 1
+            K = int(arg) if sep else 1
         except ValueError:
             raise ParseError("iterlog depth must be an integer, got %r"
-                             % k) from None
+                             % arg) from None
         return WeightSequence.iterlog_weight(seq, K)
-    if choice.startswith("table:"):
-        path = choice[len("table:"):]
-        lines = [line for line in _read_lines(path, "alpha table")
-                 if line.strip() and not line[0].isalpha()]
-        try:
-            values = [float(line.split(",")[-1].strip()) for line in lines]
-        except ValueError as exc:
-            raise ParseError("malformed alpha table %r: %s"
-                             % (path, exc)) from None
+    if name == "table" and sep:
+        (values,) = _read_table(arg, "alpha table", 1)
         return WeightSequence.from_table(values)
     raise ParseError("unknown alpha choice %r" % choice)
+
+
+def _floats(text, option, count=None):
+    """The comma-separated numbers of an option value, ``count`` if given."""
+    try:
+        values = [float(v) for v in text.split(",")]
+        if count in (None, len(values)):
+            return values
+    except ValueError:
+        pass
+    raise ParseError("%s takes %s comma-separated numbers, got %r"
+                     % (option, count or "one or more", text))
 
 
 def _resolve_init(text, seq, lam):
     if text is None or text == "p":
         return recurrence.poly_init(seq, lam)
-    try:
-        u0, u1 = map(float, text.split(","))
-    except ValueError:
-        raise ParseError("init must be 'p' or 'u0,u1', got %r" % text) from None
-    return recurrence.EigvecInit(u0, u1)
+    return recurrence.EigvecInit(*_floats(text, "--init", 2))
 
 
 def _resolve_rates(text):
@@ -141,7 +142,8 @@ def _emit_json(path_or_none, payload):
 
 def cmd_analyze(args):
     seq = instantiate(parse_family(args.seq))
-    lams = _parse_lambdas(args.lambdas)
+    lams = [lam for text in args.lambdas or []
+            for lam in _floats(text, "--lambda")] or [0.0]
     cfg = RunConfig(command="analyze", seq=args.seq, lambdas=lams, n=args.n,
                     alpha=args.alpha or "a", init=args.init or "p",
                     out=args.out)
@@ -215,12 +217,7 @@ def cmd_spectrum(args):
     if args.window is not None:
         if args.bin is None:
             raise ParseError("--window requires --bin")
-        lo, _, hi = args.window.partition(",")
-        try:
-            window = (float(lo), float(hi))
-        except ValueError:
-            raise ParseError("--window must be x_lo,x_hi, got %r"
-                             % args.window) from None
+        window = tuple(_floats(args.window, "--window", 2))
         if not all(map(math.isfinite, window + (args.bin,))):
             raise ParseError("--window and --bin must be finite, got %r and %r"
                              % (args.window, args.bin))
@@ -263,14 +260,6 @@ def cmd_transform(args):
 
 
 # --- argument parsing ------------------------------------------------------
-
-
-def _parse_lambdas(values):
-    try:
-        lams = [float(v) for chunk in values or [] for v in chunk.split(",") if v]
-    except ValueError:
-        raise ParseError("--lambda must be numbers, got %r" % values) from None
-    return lams or [0.0]
 
 
 def build_parser():

@@ -66,12 +66,12 @@ __all__ = [
     "CATALOG_FAMILIES",
 ]
 
-# family -> the parameter keys it takes (paired also takes inner=)
+# family -> the parameter keys it takes
 CATALOG_FAMILIES = {
     "const": (),
     "pow": ("alpha",),
     "pow-shifted": ("alpha",),
-    "paired": ("eps",),
+    "paired": ("eps", "inner"),
     "factorial-staircase": (),
     "iterlog": ("k", "m"),
     "chihara": (),
@@ -368,7 +368,6 @@ def iterlog_g_prime(K, x):
 
 # --- mini-language ---------------------------------------------------------
 
-_KEY_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 
 
@@ -407,6 +406,31 @@ def _parse_number(text, offset):
     return value
 
 
+def _items(text, offset, keys, owner):
+    """(key, value, position) for each ``key=value`` item of a comma list
+    found at ``offset`` of the input.
+
+    Keys are case-insensitive (K == k).  A malformed item, a key not in
+    ``keys`` or one given twice is a ParseError at its position.
+    """
+    seen, position = set(), offset
+    for item in text.split(","):
+        key, eq, value = item.partition("=")
+        key = key.strip().lower()
+        if not eq:
+            raise ParseError("expected key=value, got %r" % item,
+                             position=position)
+        if key not in keys:
+            raise ParseError("%s takes no parameter %r" % (owner, key),
+                             position=position)
+        if key in seen:
+            raise ParseError("parameter %r given twice" % key,
+                             position=position)
+        seen.add(key)
+        yield key, value, position
+        position += len(item) + 1
+
+
 def parse_family(text):
     """Parse mini-language text into a :class:`FamilySpec`.
 
@@ -414,55 +438,37 @@ def parse_family(text):
     does not take or one given twice, are errors; there is no fallback
     interpretation.
     """
+    return _parse_family(text, 0)
+
+
+def _parse_family(text, offset):
+    """:func:`parse_family` of ``text`` found at ``offset`` of the input."""
     if not isinstance(text, str) or not text:
-        raise ParseError("empty sequence spec", position=0)
+        raise ParseError("empty sequence spec", position=offset)
     head, sep, rest = text.partition(":")
     family = head.strip()
     if family not in CATALOG_FAMILIES:
-        raise ParseError("unknown family %r" % family, position=0)
+        raise ParseError("unknown family %r" % family, position=offset)
 
     if family == "table":
-        if not sep or not rest:
-            raise ParseError("table family needs a file path", position=len(head))
+        if not rest:
+            raise ParseError("table family needs a file path",
+                             position=offset + len(head))
         return FamilySpec("table", path=rest)
 
     params = []
     inner_spec = None
-    offset = len(head) + 1
-    if sep and not rest:
-        raise ParseError("trailing ':' without parameters", position=len(head))
-    if rest:
-        items = rest.split(",")
-        pos = offset
-        i = 0
-        while i < len(items):
-            item = items[i]
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise ParseError("expected key=value, got %r" % item, position=pos)
-            key = key.strip().lower()  # keys are case-insensitive (K == k)
-            if not _KEY_RE.match(key):
-                raise ParseError("invalid key %r" % key, position=pos)
-            if not value:
-                raise ParseError("missing value for key %r" % key, position=pos)
-            if key == "inner":
-                if family != "paired":
-                    raise ParseError("'inner' is only valid for the paired family",
-                                     position=pos)
-                inner_text = value
-                tail = items[i + 1:]
-                if tail:
-                    inner_text += ":" + ",".join(tail)
-                inner_spec = parse_family(inner_text)
-                break
-            if key not in CATALOG_FAMILIES[family]:
-                raise ParseError("family %r takes no parameter %r"
-                                 % (family, key), position=pos)
-            if any(key == k for k, _ in params):
-                raise ParseError("parameter %r given twice" % key, position=pos)
-            params.append((key, _parse_number(value, pos + len(key) + 1)))
-            pos += len(item) + 1
-            i += 1
+    start = offset + len(head) + 1
+    items = (_items(rest, start, CATALOG_FAMILIES[family], "family %r" % family)
+             if sep else ())
+    for key, value, position in items:
+        if key == "inner":
+            # the inner spec is the rest of the text, its first ',' its ':'
+            at = rest.index("=", position - start) + 1
+            inner_spec = _parse_family(rest[at:].replace(",", ":", 1),
+                                       start + at)
+            break
+        params.append((key, _parse_number(value, position + len(key) + 1)))
 
     spec = FamilySpec(family, tuple(params), inner=inner_spec)
     _validate_spec(spec)
@@ -600,29 +606,43 @@ def instantiate(spec):
     raise ParseError("unknown family %r" % fam)
 
 
-def _read_lines(path, what):
-    """The lines of a table file; an unreadable or non-UTF-8 one is a ParseError."""
+def _read_table(path, what, required, optional=0):
+    """The value columns of a table file with rows n, v_1, v_2, ...
+
+    A row holds ``required`` values and up to ``optional`` more, a missing
+    one read as 0.  Rows whose first cell is empty or ``n`` or starts with
+    ``#`` are skipped; the others may come in any order, but their n must
+    be 0..m-1, each once.  A malformed, unreadable or non-UTF-8 file is a
+    ParseError, an empty table a DomainError.
+    """
+    width, rows = 1 + required + optional, []
     try:
         with open(path, newline="") as fh:
-            return fh.readlines()
+            for row in csv.reader(fh):
+                first = row[0].strip() if row else ""
+                if first.lower() in ("", "n") or first.startswith("#"):
+                    continue
+                if not required < len(row) <= width:
+                    raise ValueError("row %r: expected %s cells, got %d" % (
+                        ",".join(row), " or ".join(
+                            map(str, range(required + 1, width + 1))), len(row)))
+                rows.append((int(first), [float(c) for c in row[1:]]
+                             + [0.0] * (width - len(row))))
     except OSError as exc:
         raise ParseError("cannot read %s %r: %s"
                          % (what, path, exc.strerror or exc)) from None
-    except UnicodeDecodeError as exc:
+    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
         raise ParseError("malformed %s %r: %s" % (what, path, exc)) from None
+    if not rows:
+        raise DomainError("empty %s %r" % (what, path))
+    rows.sort(key=lambda row: row[0])
+    if [n for n, _ in rows] != list(range(len(rows))):
+        raise ParseError("malformed %s %r: n must run over 0..%d, each once"
+                         % (what, path, len(rows) - 1))
+    return list(zip(*(cells for _, cells in rows)))
 
 
 def load_table(path):
     """Read a finite sequence table from CSV with columns n,a[,b]."""
-    rows = [row for row in csv.reader(_read_lines(path, "sequence table"))
-            if row and row[0].strip().lower() not in ("n", "#", "")]
-    if not rows:
-        raise DomainError("empty sequence table %r" % path)
-    try:
-        rows.sort(key=lambda r: int(r[0]))
-        a_values = [float(r[1]) for r in rows]
-        b_values = [float(r[2]) if len(r) > 2 else 0.0 for r in rows]
-    except (ValueError, IndexError) as exc:
-        raise ParseError("malformed sequence table %r: %s"
-                         % (path, exc)) from None
+    a_values, b_values = _read_table(path, "sequence table", 1, optional=1)
     return SequencePair.from_table(a_values, b_values, name="table:%s" % path)

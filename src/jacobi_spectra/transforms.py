@@ -23,17 +23,16 @@ gather l2 partial-sum evidence for that side condition (see
 ``recurrence.l2_partial_sums``), it does not assert it.
 """
 
-import csv
 import math
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError
 from . import diagnostics as _diag
 from .diagnostics import ConditionVerdict, overall_verdict
 from .recurrence import _elementwise
-from .sequences import (SequencePair, _arange, _checked, _per_index, _power,
-                        _read_lines, _slices, _zeros)
+from .sequences import (SequencePair, _arange, _checked, _items, _per_index,
+                        _power, _read_table, _slices, _zeros)
 
 __all__ = [
     "BirthDeathRates",
@@ -298,22 +297,19 @@ def parse_rates(text):
     """Parse the bd mini-language extension ``lam=<name>,mu=<name>``.
 
     Named rate sequences: ``linear`` (lambda(n) = n+1, mu(n) = n) and
-    ``quadratic`` (lambda(n) = (n+1)**2, mu(n) = n**2).  Arbitrary rates
-    go through :func:`load_rates_csv` instead.
+    ``quadratic`` (lambda(n) = (n+1)**2, mu(n) = n**2).  Keys are
+    case-insensitive and may be given once.  Arbitrary rates go through
+    :func:`load_rates_csv` instead.
     """
-    text = text.removeprefix("bd:")
-    fields = dict(
-        item.partition("=")[::2] for item in text.split(",") if item)
-    unknown = sorted(set(fields) - {"lam", "mu"})
-    if unknown:
-        raise ParseError("unknown rates key(s) %s in %r"
-                         % (", ".join(unknown), text))
+    rest = text.removeprefix("bd:")
+    fields = {key: value for key, value, _ in _items(
+        rest, len(text) - len(rest), ("lam", "mu"), "the rates spec")}
     lam_name = fields.get("lam")
     mu_name = fields.get("mu")
     if lam_name not in _RATE_FAMILIES or mu_name not in _RATE_FAMILIES:
         raise DomainError(
             "rates must name one of %s for both lam and mu; got %r"
-            % (sorted(_RATE_FAMILIES), text))
+            % (sorted(_RATE_FAMILIES), rest))
     return BirthDeathRates._from_builders(
         _RATE_FAMILIES[lam_name][0], _RATE_FAMILIES[mu_name][1],
         "bd:lam=%s,mu=%s" % (lam_name, mu_name))
@@ -321,13 +317,5 @@ def parse_rates(text):
 
 def load_rates_csv(path):
     """Rates from CSV with columns (n, lambda, mu)."""
-    lines = _read_lines(path, "rates table")
-    try:
-        rows = sorted((int(r[0]), float(r[1]), float(r[2]))
-                      for r in csv.reader(lines) if r and r[0].strip().isdigit())
-    except (ValueError, IndexError) as exc:
-        raise ParseError("malformed rates table %r: %s" % (path, exc)) from None
-    if not rows:
-        raise DomainError("empty rates table %r" % path)
-    return BirthDeathRates.from_tables(
-        [r[1] for r in rows], [r[2] for r in rows], name="table:%s" % path)
+    lam, mu = _read_table(path, "rates table", 2)
+    return BirthDeathRates.from_tables(lam, mu, name="table:%s" % path)

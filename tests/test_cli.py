@@ -153,6 +153,14 @@ TABLES = {
     "huge": "0,1e308\n1,1e308\n2,1e308\n",
     "rates_short_row": "0,1,0\n1,2\n",
     "rates_bad_number": "0,1,0\n1,2,x\n",
+    # n must be 0..m-1, each once, and an integer
+    "gap": "0,1\n1,2\n3,5\n",
+    "repeated": "0,1\n1,2\n1,3\n2,4\n",
+    "rates_float_index": "0,1,0\n1,2,1\n2,3,2\n3.0,9,9\n",
+    "rates_gap": "0,1,0\n1,2,1\n3,4,3\n",
+    "rates_repeated": "0,1,0\n1,2,1\n1,3,2\n2,4,3\n",
+    # a cell past the csv module's field size limit
+    "big_field": '0,"' + "1" * 200000 + "\n",
 }
 
 
@@ -223,6 +231,21 @@ TABLES = {
       "--n", "200"], 2),
     (["check", "--theorem", "B", "--seq", "iterlog:k=1" + ZEROS + ",m=16",
       "--n", "200"], 2),
+    (["check", "--theorem", "A", "--seq", "const", "--alpha", "iterlogxyz",
+      "--n", "200"], 2),
+    # every table reader takes rows n = 0..m-1, each once, with n an integer
+    *[(["check", "--theorem", "B", "--seq", "table:{%s}" % name, "--n", "200"], 2)
+      for name in ("gap", "repeated", "rates_float_index", "big_field")],
+    *[(["check", "--theorem", "A", "--seq", "const", "--alpha",
+        "table:{%s}" % name, "--n", "200"], 2)
+      for name in ("gap", "repeated", "rates_float_index", "one_column")],
+    *[(["check", "--theorem", "51", "--rates", "{%s}" % name, "--n", "200"], 2)
+      for name in ("gap", "repeated", "rates_float_index", "rates_gap",
+                   "rates_repeated")],
+    (["check", "--theorem", "51", "--bd", "lam=linear,lam=quadratic,mu=linear",
+      "--n", "200"], 2),
+    (["spectrum", "--seq", "paired:eps=1,inner=pow,alpha=1,alpha=2",
+      "--size", "5"], 2),
 ])
 def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
     paths = {"missing": str(tmp_path / "missing.csv"),
@@ -235,6 +258,20 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert list((tmp_path / "out").glob("*.csv")) == []
+
+
+def test_alpha_table_rows_may_come_in_any_order(tmp_path):
+    rows = ["%d,%r\n" % (n, (n + 1) ** 0.5) for n in range(400)]
+    reports = []
+    for name, lines in (("sorted", rows), ("reversed", rows[::-1])):
+        (tmp_path / (name + ".csv")).write_text("n,alpha\n" + "".join(lines))
+        out = tmp_path / name
+        assert run(["check", "--theorem", "A", "--seq", "pow:alpha=0.5",
+                    "--alpha", "table:" + str(tmp_path / (name + ".csv")),
+                    "--n", "300", "--out", str(out)]) == 0
+        reports.append((out / "verdict.json").read_text())
+    assert reports[0] == reports[1]
 
 
 def test_density_through_exact_zero_pivots_is_silent(tmp_path, capsys):

@@ -29,6 +29,7 @@ TABLES = {
     "rates": "n,lambda,mu\n" + "".join("%d,%d,%d\n" % (n, n + 1, n)
                                       for n in range(400)),
     "rates_short": "0,1,0\n1,2\n",
+    "gap": "0,1\n1,2\n3,5\n",
 }
 for _name, _text in TABLES.items():
     with open(os.path.join(FIXTURES.name, _name + ".csv"), "w") as _fh:
@@ -88,7 +89,7 @@ def _concat(*parts):
 N = st.one_of(*[st.integers(-3, 300).map(str)] * 9, st.just("x"))
 SIZE = st.one_of(*[st.integers(-3, 50).map(str)] * 9, st.just("1e3"))
 ALPHAS = st.sampled_from(["a", "one", "iterlog:1", "iterlog:2", "iterlog:x",
-                          "nope"] + ["table:" + p for p in PATHS])
+                          "iterlogx", "nope"] + ["table:" + p for p in PATHS])
 RATES = st.one_of(st.sampled_from(["lam=linear,mu=linear",
                                    "lam=quadratic,mu=linear", "lam=linear",
                                    "lam=linear,mu=linear,zz=1",

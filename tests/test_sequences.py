@@ -84,6 +84,7 @@ def test_parse_error_reports_position():
 @pytest.mark.parametrize("text, position", [
     ("paired:epsilon=0.01,inner=pow,alpha=1", 7), ("const:alpha=2", 6),
     ("pow:alpha=1,alpha=3", 12), ("iterlog:k=2,m=16,M=3", 17),
+    ("paired:eps=1,inner=pow,alpha=1,alpha=2", 31),
 ])
 def test_unknown_or_repeated_key_reports_its_position(text, position):
     with pytest.raises(ParseError) as exc:

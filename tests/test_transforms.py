@@ -216,8 +216,10 @@ def test_theorem_51_checker_fixtures():
 def test_parse_rates_rejects_unknown():
     with pytest.raises(DomainError):
         parse_rates("lam=cubic,mu=linear")
-    with pytest.raises(ParseError):
-        parse_rates("lam=linear,mu=linear,zz=1")
+    for text in ["lam=linear,mu=linear,zz=1",
+                 "lam=linear,lam=quadratic,mu=linear", "lam=linear,,mu=linear"]:
+        with pytest.raises(ParseError):
+            parse_rates(text)
 
 
 def test_parse_rates_strips_prefix():
