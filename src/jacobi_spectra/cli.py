@@ -124,10 +124,6 @@ def _write_config(outdir, cfg):
     _emit_json(os.path.join(outdir, "config.json"), asdict(cfg))
 
 
-def _lam_tag(lam):
-    return ("%g" % lam).replace("-", "m").replace(".", "p")
-
-
 def _emit_json(path_or_none, payload):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path_or_none:
@@ -144,6 +140,8 @@ def cmd_analyze(args):
     seq = instantiate(parse_family(args.seq))
     lams = [lam for text in args.lambdas or []
             for lam in _floats(text, "--lambda")] or [0.0]
+    if not all(map(math.isfinite, lams)):
+        raise ParseError("--lambda values must be finite, got %s" % lams)
     cfg = RunConfig(command="analyze", seq=args.seq, lambdas=lams, n=args.n,
                     alpha=args.alpha or "a", init=args.init or "p",
                     out=args.out)
@@ -151,7 +149,7 @@ def cmd_analyze(args):
     alpha = _resolve_alpha(args.alpha, seq)
     for lam in lams:
         init = _resolve_init(args.init, seq, lam)
-        tag = _lam_tag(lam)
+        tag = ("%g" % lam).replace("-", "m").replace(".", "p")
         # one propagation per lam: the eigenvector trace is written from
         # the states the diagnostics were computed from
         trace = diagnostics.s_sequence(seq, alpha, lam, init, args.n)

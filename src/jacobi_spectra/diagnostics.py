@@ -29,8 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .recurrence import _elementwise, _state_rows, _write_columns, propagate
-from .sequences import SequencePair, _first_iterlog_valid, _iterlogs, _slices
+from .recurrence import _elementwise, _propagate_rows, _write_columns
+# unused here; perfbench/tracing.py patches diagnostics.propagate
+from .recurrence import propagate  # noqa: F401
+from .sequences import _first_iterlog_valid, _iterlogs
 
 __all__ = [
     "DiagnosticsTrace",
@@ -76,7 +78,7 @@ class DiagnosticsTrace:
 
     lam: float
     n: np.ndarray
-    states: np.ndarray             # (N+1, 3) rows (x, y, logscale), n = 0..N
+    states: np.ndarray             # _propagate_rows (x, y, logscale), n = 0..N
     s_over_shat: np.ndarray        # from the u(n), u(n+1) form
     s31_over_shat: np.ndarray      # from the u(n-1), u(n) form
     log_shat: np.ndarray
@@ -133,14 +135,9 @@ def s_sequence(seq, alpha, lam, init, n_max, f_exclusion=1e-12):
     """
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
-    lam = float(lam)
-    N = n_max
-    a = seq.a_array(N + 1)
-    b_all = seq.b_array(N + 1)
-    # propagate over the coefficients just built, not a second evaluation
-    table = SequencePair.from_builders(_slices(a), _slices(b_all),
-                                       name=seq.name, length=N + 1)
-    states = _state_rows(propagate(table, lam, init, N), N + 1)
+    lam, N = float(lam), n_max
+    a, b_all = seq.a_array(N + 1), seq.b_array(N + 1)
+    states = _propagate_rows(a, b_all, lam, init.u0, init.u1)
     x, y, logscale = states.T
     b = b_all[1:]
     al = alpha.array(N + 1)

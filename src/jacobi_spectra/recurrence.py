@@ -16,7 +16,9 @@ circle plus one accumulated log-magnitude:
 Every downstream diagnostic only needs scale-free combinations of
 consecutive entries, so nothing is lost.  Exact zeros (e.g. odd-index
 polynomial values at lam = 0 for symmetric matrices) are representable:
-the corresponding coordinate is exactly 0.0.
+the corresponding coordinate is exactly 0.0.  The kernel ``_propagate_rows``
+is the one step loop: :func:`propagate`, :func:`poly_eval` and
+``diagnostics.s_sequence`` all read its rows (x, y, logscale).
 """
 
 import math
@@ -69,12 +71,6 @@ def _log_abs(x, logscale):
     out += logscale
     out[zero] = -np.inf
     return out
-
-
-def _state_rows(states, count):
-    """A stream of :class:`PropagationState` as rows (x, y, logscale)."""
-    return np.fromiter(((s.x, s.y, s.logscale) for s in states),
-                       dtype=(float, 3), count=count)
 
 
 def _write_columns(path, header, *columns, blank=None):
@@ -133,30 +129,35 @@ def poly_init(seq, lam):
     return EigvecInit(1.0, (lam - seq.b(0)) / seq.a(0))
 
 
-def propagate(seq, lam, init, n_max):
-    """Yield :class:`PropagationState` for n = 0 .. n_max.
-
-    The recurrence is applied from n = 1 on; the state at n = 0 is the
-    normalized initial pair itself.  a(0..n_max) and b(0..n_max) are
-    built as arrays before the first state.
-    """
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    a = memoryview(seq.a_array(n_max + 1))
-    b = memoryview(seq.b_array(n_max + 1))
-    u0, u1 = float(init.u0), float(init.u1)
+def _propagate_rows(a, b, lam, u0, u1):
+    """The (N+1, 3) rows (x, y, logscale) over arrays a(0..N), b(0..N): row 0
+    is the normalized pair (u0, u1), the recurrence acts from n = 1 on."""
+    a, b = memoryview(a), memoryview(b)
+    u0, u1 = float(u0), float(u1)
     r = math.hypot(u0, u1)
     x, y = u0 / r, u1 / r
     logscale = math.log(r)
-    yield PropagationState(0, x, y, logscale)
-    for n in range(1, n_max + 1):
+    rows = [x, y, logscale]
+    for n in range(1, len(a)):
         # a(n) u(n+1) = (lam - b(n)) u(n) - a(n-1) u(n-1), scale-free
         y_new = ((lam - b[n]) * y - a[n - 1] * x) / a[n]
         r = math.hypot(y, y_new)
         # r > 0: y == 0 forces y_new = -a(n-1) x / a(n) != 0 since (x,y) != 0
         x, y = y / r, y_new / r
         logscale += math.log(r)
-        yield PropagationState(n, x, y, logscale)
+        rows += x, y, logscale
+    return np.array(rows).reshape(-1, 3)
+
+
+def propagate(seq, lam, init, n_max):
+    """Yield :class:`PropagationState` for n = 0 .. n_max: the rows of
+    ``_propagate_rows`` over a(0..n_max) and b(0..n_max)."""
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    rows = _propagate_rows(seq.a_array(n_max + 1), seq.b_array(n_max + 1),
+                           lam, init.u0, init.u1)
+    for n, row in enumerate(rows.tolist()):
+        yield PropagationState(n, *row)
 
 
 class PolyTrace:
@@ -189,11 +190,12 @@ class PolyTrace:
 
 
 def poly_eval(seq, lam, n_max):
-    """Evaluate p(0)..p(n_max) at lam via log-scaled propagation."""
+    """Evaluate p(0)..p(n_max) at lam with the kernel ``_propagate_rows``."""
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    x, _, logscale = _state_rows(
-        propagate(seq, lam, poly_init(seq, lam), max(n_max, 1)), n_max + 1).T
+    init, m = poly_init(seq, lam), max(n_max, 1) + 1
+    x, _, logscale = _propagate_rows(seq.a_array(m), seq.b_array(m), lam,
+                                     init.u0, init.u1)[: n_max + 1].T
     return PolyTrace(lam, _sign(x), _log_abs(x, logscale))
 
 

@@ -158,7 +158,7 @@ def _checked(build, lo, hi, valid=None, reject=None):
 
 
 class SequencePair:
-    """The Jacobi data {a(n) > 0}, {b(n) real}.
+    """The Jacobi data {a(n) > 0}, {b(n) real}, each entry finite.
 
     a and b are each one builder that maps an index range lo..hi-1 to a
     float array, validated as a whole by :meth:`a_array`/:meth:`b_array`;
@@ -182,11 +182,13 @@ class SequencePair:
         if lo < 0:
             raise DomainError("sequence index must be >= 0, got %d" % lo)
         end = hi if self.length is None else min(hi, max(lo, self.length))
+        valid, rule = ((_positive, "violates positivity") if label == "a"
+                       else (np.isfinite, "is not finite"))
         try:
             values = _checked(
-                self._build[label], lo, end, _positive if label == "a" else None,
-                lambda n, v: "a(%d) = %r violates positivity for family %r"
-                % (n, v, self.name))
+                self._build[label], lo, end, valid,
+                lambda n, v: "%s(%d) = %r %s for family %r"
+                % (label, n, v, rule, self.name))
         except _ArithmeticFault as exc:
             raise DomainError("%s(%d) %s for family %r"
                               % (label, exc.index, exc.what, self.name)) from None

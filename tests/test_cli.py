@@ -193,6 +193,9 @@ TABLES = {
     (["analyze", "--seq", "const", "--lambda", "abc", "--n", "20"], 2),
     (["analyze", "--seq", "const", "--init", "x,y", "--n", "20"], 2),
     (["analyze", "--seq", "const", "--init", "1,2,3", "--n", "20"], 2),
+    # a non-finite --init stays accepted, a non-finite --lambda does not
+    *[(["analyze", "--seq", "const", "--lambda=" + lam, "--n", "5"], 2)
+      for lam in ("inf", "nan", "-inf")],
     (["check", "--theorem", "51", "--rates", "{rates_short_row}",
       "--n", "200"], 2),
     (["transform", "bd", "--rates", "{rates_bad_number}", "--n", "5"], 2),
@@ -259,6 +262,21 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert list((tmp_path / "out").glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "flip", "--n", "2"],
+    ["analyze", "--n", "2"],
+    ["spectrum", "--size", "3"],
+])
+def test_table_with_nonfinite_b_exits_3(argv, tmp_path, capsys):
+    table = tmp_path / "b_nan.csv"
+    table.write_text("0,1,nan\n1,1,0\n2,1,0\n")
+    out = tmp_path / "out"
+    assert run(argv + ["--seq", "table:" + str(table), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: b(0) = nan is not finite for family %r" % ("table:" + str(table))]
+    assert list(out.glob("*.csv")) == []
 
 
 def test_alpha_table_rows_may_come_in_any_order(tmp_path):
@@ -412,16 +430,16 @@ def test_spectrum_subnormal_tol_runs_the_capped_sweeps(tmp_path):
 
 
 def test_analyze_propagates_once_per_lambda(tmp_path, monkeypatch):
-    from jacobi_spectra import diagnostics, recurrence
+    from jacobi_spectra import diagnostics
     calls = []
-    propagate = recurrence.propagate
+    kernel = diagnostics._propagate_rows
 
-    def counting(*args):
-        calls.append(args[1])
-        return propagate(*args)
+    def counting(a, b, lam, u0, u1):
+        calls.append(lam)
+        return kernel(a, b, lam, u0, u1)
 
-    monkeypatch.setattr(recurrence, "propagate", counting)
-    monkeypatch.setattr(diagnostics, "propagate", counting)
+    # the step loop, at the name s_sequence calls it by
+    monkeypatch.setattr(diagnostics, "_propagate_rows", counting)
     assert run(["analyze", "--seq", "chihara", "--lambda", "0.5,2", "--n",
                 "50", "--out", str(tmp_path)]) == 0
     assert calls == [0.5, 2.0]

@@ -18,6 +18,7 @@ from jacobi_spectra import (
     instantiate,
     liminf_estimate,
     overall_verdict,
+    poly_eval,
     poly_init,
     propagate,
     s_sequence,
@@ -29,7 +30,7 @@ from jacobi_spectra.diagnostics import (
     negative_part,
     write_trace_csv,
 )
-from jacobi_spectra.recurrence import propagate
+from jacobi_spectra.recurrence import _propagate_rows, propagate
 from jacobi_spectra.transforms import flip
 
 CATALOG = [
@@ -164,14 +165,65 @@ def test_s_sequence_bitwise_matches_scalar_reference(text, lam, choice):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
 
 
-def test_s_sequence_keeps_its_propagation_states():
-    seq = instantiate("chihara")
-    init = poly_init(seq, 0.7)
-    trace = s_sequence(seq, alpha_a(seq), 0.7, init, 200)
-    want = np.array([(s.x, s.y, s.logscale)
-                     for s in propagate(seq, 0.7, init, 200)])
-    assert trace.states.shape == (201, 3)
-    assert np.array_equal(trace.states.view(np.uint64), want.view(np.uint64))
+def _scalar_steps(seq, lam, u0, u1, N):
+    """The log-scaled step loop, one index at a time: rows (x, y, logscale)."""
+    r = math.hypot(u0, u1)
+    x, y = u0 / r, u1 / r
+    logscale = math.log(r)
+    rows = [(x, y, logscale)]
+    for n in range(1, N + 1):
+        y_new = ((lam - seq.b(n)) * y - seq.a(n - 1) * x) / seq.a(n)
+        r = math.hypot(y, y_new)
+        x, y = y / r, y_new / r
+        logscale += math.log(r)
+        rows.append((x, y, logscale))
+    return np.array(rows)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+# (sequence, lam, initial pair; None for the polynomial pair (1, p1))
+@pytest.mark.parametrize("text, lam, init", [
+    ("const", 0.0, None),                 # every odd p(n) is an exact zero
+    ("pow:alpha=0.5", 0.7, None),
+    ("chihara", 0.7, None),
+    ("paired:eps=0.01,inner=pow,alpha=0.5", 0.3, None),
+    ("table", 1.1, None),
+    ("chihara", 2.5, EigvecInit(0.6, -0.8)),
+])
+def test_s_sequence_keeps_its_propagation_states(text, lam, init, tmp_path):
+    if text == "table":
+        path = tmp_path / "seq.csv"
+        path.write_text("".join("%d,%r,%r\n" % (n, 1.0 + 0.5 * math.sin(n),
+                                                 0.25 * math.cos(3 * n))
+                                for n in range(301)))
+        text = "table:%s" % path
+    seq, N = instantiate(text), 300
+    poly = init is None
+    if poly:
+        init = EigvecInit(1.0, (lam - seq.b(0)) / seq.a(0))
+    want = _scalar_steps(seq, lam, init.u0, init.u1, N)
+
+    kernel = _propagate_rows(seq.a_array(N + 1), seq.b_array(N + 1), lam,
+                             init.u0, init.u1)
+    states = list(propagate(seq, lam, init, N))
+    trace = s_sequence(seq, alpha_a(seq), lam, init, N)
+    assert trace.states.shape == kernel.shape == (N + 1, 3)
+    assert [s.n for s in states] == list(range(N + 1))
+    for got in (kernel, [(s.x, s.y, s.logscale) for s in states],
+                trace.states):
+        assert np.array_equal(_bits(got), _bits(want))
+    if poly:
+        x, logscale = want[:, 0].tolist(), want[:, 2].tolist()
+        p = poly_eval(seq, lam, N)
+        assert p.signs.tolist() == [(v > 0) - (v < 0) for v in x]
+        assert np.array_equal(_bits(p.log_abs), _bits(
+            [math.log(abs(v)) + s if v else -math.inf
+             for v, s in zip(x, logscale)]))
+        if text == "const":
+            assert p.signs[1::2].tolist() == [0] * (N // 2)
 
 
 def test_s_sequence_exclusion_case_excludes_some_entries():

@@ -208,6 +208,17 @@ def test_sequence_pair_rejects_nonpositive_a():
         bad.a(0)
 
 
+def test_sequence_pair_rejects_nonfinite_b_at_its_index():
+    seq = SequencePair.from_table([1.0, 1.0, 1.0], [0.0, float("nan"), 0.0])
+    assert seq.b(0) == 0.0
+    with pytest.raises(DomainError, match=r"^b\(1\) = nan is not finite "
+                                          r"for family 'table'$"):
+        seq.b_array(3)
+    overflow = SequencePair(lambda n: 1.0, lambda n: 1e308 * (n + 1.0))
+    with pytest.raises(DomainError, match=r"^b\(1\) = inf is not finite"):
+        overflow.b(1)
+
+
 def test_sequence_pair_finite_length_bounds():
     seq = SequencePair.from_table([1.0, 2.0], [0.0, 1.0])
     assert seq.a(1) == 2.0
