@@ -138,14 +138,21 @@ def _propagate_rows(a, b, lam, u0, u1):
     x, y = u0 / r, u1 / r
     logscale = math.log(r)
     rows = [x, y, logscale]
-    for n in range(1, len(a)):
-        # a(n) u(n+1) = (lam - b(n)) u(n) - a(n-1) u(n-1), scale-free
-        y_new = ((lam - b[n]) * y - a[n - 1] * x) / a[n]
-        r = math.hypot(y, y_new)
-        # r > 0: y == 0 forces y_new = -a(n-1) x / a(n) != 0 since (x,y) != 0
-        x, y = y / r, y_new / r
-        logscale += math.log(r)
-        rows += x, y, logscale
+    try:
+        for n in range(1, len(a)):
+            # a(n) u(n+1) = (lam - b(n)) u(n) - a(n-1) u(n-1), scale-free
+            y_new = ((lam - b[n]) * y - a[n - 1] * x) / a[n]
+            r = math.hypot(y, y_new)
+            # r > 0 in exact arithmetic: y == 0 forces y_new = -a(n-1) x / a(n)
+            # != 0, since (x, y) != 0; only that quotient's underflow gives 0
+            x, y = y / r, y_new / r
+            logscale += math.log(r)
+            rows += x, y, logscale
+    except ZeroDivisionError:
+        raise DomainError(
+            "propagation underflows at n = %d: a(%d)/a(%d) = %r/%r rounds to "
+            "0, so (u(%d), u(%d)) is (0, 0) relative to u(%d)"
+            % (n, n - 1, n, a[n - 1], a[n], n, n + 1, n - 1)) from None
     return np.array(rows).reshape(-1, 3)
 
 

@@ -1,22 +1,28 @@
-"""Finite-section spectra via Sturm-sequence bisection.
+"""Finite-section spectra via Sturm-sequence bisection and Newton polishing.
 
 The N x N leading principal submatrix of a Jacobi matrix is symmetric
 tridiagonal with positive off-diagonals, hence has simple spectrum.  The
 primitive operation is the Sturm count: the number of eigenvalues below a
 shift, read off the signs of the LDL^T pivot recursion (at order >= 2 an
 eigenvalue equal to the shift is counted too when its pivot comes out
-below ``pivmin``, see :func:`sturm_count`).  Bisection on the count yields
-any eigenvalue to prescribed absolute tolerance, and differencing counts
-at bin edges yields eigenvalue densities without a full eigensolve.
+below ``pivmin``, see :func:`sturm_count`).  Differencing counts at bin
+edges yields eigenvalue densities without a full eigensolve.
+:func:`eigenvalues` bisects intervals on the count until each holds one
+eigenvalue, then runs a safeguarded Newton step on det(T - x) inside
+each isolating bracket, as LAPACK's ``dstebz`` isolates (Kahan's
+bisection; Demmel, Dhillon & Ren 1995 on its correctness).
 
-One sweep computes the counts for a whole vector of shifts (every bracket
-midpoint of a bisection step, or every bin edge).  It runs down the rows
-of the recursion in blocks: each row costs two numpy calls, and the test
-for pivots below ``pivmin`` and the sign count run once per block.  A
-block that holds such a pivot is redone from its first one with the
-row-by-row sweep that substitutes ``-pivmin``, so the counts are
-bit-identical to that sweep's.  Its cost is numpy call overhead, not
-arithmetic: the shift vectors are a few hundred long.
+One sweep computes the counts for a whole vector of shifts (every interval
+midpoint of a bisection step, every Newton point, or every bin edge).  It
+runs down the rows of the recursion in blocks: each row costs two numpy
+calls, and the test for pivots below ``pivmin`` and the sign count run
+once per block.  A block that holds such a pivot is redone from its first
+one with the row-by-row sweep that substitutes ``-pivmin``, so the counts
+are bit-identical to that sweep's.  For Newton the same pass also carries
+the log-derivative sum_i d'_i / d_i, two more numpy calls per row; count
+callers do not pay for it.  The cost is numpy call overhead per row and
+sweep, not arithmetic: the shift vectors are a few hundred long, and
+shrink as intervals isolate and nodes converge.
 
 Gauss weights come from one three-term recurrence over all nodes at once,
 in plain float arithmetic kept in range by exact power-of-two rescaling
@@ -50,10 +56,12 @@ __all__ = [
 ]
 
 _SAFE_MIN = np.finfo(float).tiny / np.finfo(float).eps
-# at most this many bisection sweeps, each halving every bracket
+# at most this many Sturm sweeps per eigenvalues call, both phases together
 _MAX_SWEEPS = 110
 # floats in one block of the Sturm sweep's (rows, shifts) buffer: 64 KB
 _BLOCK_ELEMENTS = 8192
+# Gauss weights whose sum is off 1 by more than this are a DomainError
+_WEIGHT_SUM_TOL = 1e-6
 # at most this many density_report bins (~15 MB of rows, ~5 MB of CSV)
 _MAX_BINS = 100_000
 
@@ -116,40 +124,62 @@ def truncate(seq, order):
     return Truncation(seq.b_array(order), seq.a_array(order - 1))
 
 
-def _sturm_counts_vec(diag, off2, shifts, pivmin):
+def _sturm_counts_vec(diag, off2, shifts, pivmin, log_derivative=False):
     """Sturm counts for a vector of shifts simultaneously.
 
-    The pivots ``d_i = (b_i - s) - a_{i-1}**2 / d_{i-1}`` are computed in
-    blocks of rows of a ``(rows, shifts)`` buffer of at most
-    ``_BLOCK_ELEMENTS`` floats.  One ``np.subtract.outer`` fills a block
-    with ``b_i - s``; each row then costs two numpy calls, a divide and a
-    subtract in place.  The pivmin test and the count of negative pivots
-    run once per block.  Every entry goes through the same IEEE operations
-    as the row-by-row sweep, so a block without a pivot below ``pivmin``
-    is bit-identical to it.  A block with one keeps its rows before the
-    first such row and finishes from that row with the row-by-row sweep,
-    which substitutes ``-pivmin``; so each row is computed at most twice.
-    The fast pass may divide by an exact zero pivot or overflow in the
-    rows it will redo, hence the ``np.errstate``.
+    The pivots ``d_i = (b_i - s) - q_i``, ``q_i = a_{i-1}**2 / d_{i-1}``,
+    are computed in blocks of rows of a ``(rows, shifts)`` buffer of at
+    most ``_BLOCK_ELEMENTS`` floats.  One ``np.subtract.outer`` fills a
+    block with ``b_i - s``; each row then costs two numpy calls, a divide
+    and a subtract in place.  The pivmin test and the count of negative
+    pivots run once per block.  Every entry goes through the same IEEE
+    operations as the row-by-row sweep, so a block without a pivot below
+    ``pivmin`` is bit-identical to it.  A block with one keeps its rows
+    before the first such row and finishes from that row with the
+    row-by-row sweep, which substitutes ``-pivmin``; so each row is
+    computed at most twice.  The fast pass may divide by an exact zero
+    pivot or overflow in the rows it will redo, hence the ``np.errstate``.
+
+    With ``log_derivative=True`` it returns ``(counts, sum_i d'_i / d_i)``,
+    the derivative of log|det(T - s)| = sum_i log|d_i|, which gives the
+    Newton step -1 / sum for det(T - s).  From d'_0 = -1 and
+    ``d'_i = -1 + q_i d'_{i-1} / d_{i-1}``, the ratios ``r_i = d'_i / d_i``
+    obey ``r_i = (q_i / d_i) r_{i-1} - 1 / d_i``.  The quotients q_i of
+    the pivot rows are kept, so once a block's pivots are final (restarted
+    rows included) ``q_i / d_i`` and ``1 / d_i`` are two block operations,
+    each r_i costs two numpy calls, and one ``np.add.accumulate`` adds the
+    block's r_i to the running sum in row order.  Count-only callers keep
+    one scratch row for every q_i and do none of this.
     """
     shifts = np.asarray(shifts, dtype=float)
-    N = len(diag)
-    block = max(1, _BLOCK_ELEMENTS // max(1, len(shifts)))
+    N, m = len(diag), len(shifts)
+    block = max(1, _BLOCK_ELEMENTS // max(1, m))
+    rows_max = min(block, N - 1)
     # row 0 carries the last pivot row of the previous block
-    buf = np.empty((min(block, N - 1) + 1, len(shifts)))
-    rows, q = list(buf), np.empty(len(shifts))
+    buf = np.empty((rows_max + 1, m))
+    rows = list(buf)
     d = rows[0]
     np.subtract(float(diag[0]), shifts, out=d)
     d[np.abs(d) < pivmin] = -pivmin
     count = (d < 0.0).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if log_derivative:
+            qbuf = np.empty((rows_max, m))
+            # row 0 of rbuf carries r of the previous row; vbuf rows
+            # 1..k hold 1 / d_i, then the running sums of the block
+            rbuf, vbuf = np.empty((2, rows_max + 1, m))
+            qs, rs = list(qbuf), list(rbuf)
+            np.divide(-1.0, d, out=rs[0])
+            total = rs[0].copy()
+        else:
+            qs = [np.empty(m)] * rows_max
         for lo in range(1, N, block):
             hi = min(lo + block, N)
             k = hi - lo
             b, pivots = diag[lo:hi], buf[1:k + 1]
             e2s = off2[lo - 1:hi - 1].tolist()
             np.subtract.outer(b, shifts, out=pivots)
-            for prev, d, e2 in zip(rows, rows[1:k + 1], e2s):
+            for prev, d, q, e2 in zip(rows, rows[1:k + 1], qs, e2s):
                 np.divide(e2, prev, out=q)
                 np.subtract(d, q, out=d)
             hits = np.abs(pivots) < pivmin
@@ -158,12 +188,23 @@ def _sturm_counts_vec(diag, off2, shifts, pivmin):
                 for i in range(first, k):
                     d = rows[i + 1]
                     np.subtract(float(b[i]), shifts, out=d)
-                    np.divide(e2s[i], rows[i], out=q)
-                    np.subtract(d, q, out=d)
+                    np.divide(e2s[i], rows[i], out=qs[i])
+                    np.subtract(d, qs[i], out=d)
                     d[np.abs(d) < pivmin] = -pivmin
             count += (pivots < 0.0).sum(axis=0)
+            if log_derivative:
+                u, v = qbuf[:k], vbuf[1:k + 1]
+                np.divide(u, pivots, out=u)
+                np.divide(1.0, pivots, out=v)
+                for prev, r, ui, vi in zip(rs, rs[1:k + 1], u, v):
+                    np.multiply(ui, prev, out=r)
+                    np.subtract(r, vi, out=r)
+                rbuf[0] = total
+                np.add.accumulate(rbuf[:k + 1], axis=0, out=vbuf[:k + 1])
+                total[:] = vbuf[k]
+                rbuf[0] = rbuf[k]
             buf[0] = buf[k]
-    return count
+    return (count, total) if log_derivative else count
 
 
 def _sturm_setup(t):
@@ -191,7 +232,8 @@ def _sturm_counts(t):
     if t.order == 1:
         return lambda shifts: (t.diag[0] < np.asarray(shifts)).astype(np.int64)
     off2, pivmin = _sturm_setup(t)
-    return lambda shifts: _sturm_counts_vec(t.diag, off2, shifts, pivmin)
+    return lambda shifts, log_derivative=False: _sturm_counts_vec(
+        t.diag, off2, shifts, pivmin, log_derivative)
 
 
 def sturm_count(t, x):
@@ -208,11 +250,23 @@ def sturm_count(t, x):
 
 
 def eigenvalues(t, tol=None, weights=False):
-    """All eigenvalues by simultaneous bisection on the Sturm count.
+    """All eigenvalues: bisection until isolated, then safeguarded Newton.
 
-    ``tol`` is the absolute tolerance; default 1e-12 * max(1, spectral
-    radius bound).  With ``weights=True`` the Gauss weights are attached:
-    nodes and weights of the N-point Gauss discretization of the measure.
+    Phase 1 (:func:`_isolate`) splits intervals of the Gershgorin bounds
+    at their midpoints until each holds one eigenvalue; phase 2
+    (:func:`_polish`) runs Newton on det(T - x) inside each isolating
+    bracket.  ``tol`` is the absolute tolerance; default 1e-12 *
+    max(1, spectral radius bound).  It bounds what ends the search, not
+    the node error directly: a node is final when its last Newton step is
+    at most ``tol`` and stays in its bracket (the error is then of the
+    order of that step squared over the gap to the next eigenvalue, a few
+    ulps of the radius at the default), or when its bracket is at most
+    ``tol`` wide; eigenvalues that share an interval at most ``tol`` wide
+    share its midpoint, within ``tol / 2`` of each.  Both phases together
+    run at most ``_MAX_SWEEPS`` Sturm sweeps.  With ``weights=True`` the
+    Gauss weights are attached: nodes and weights of the N-point Gauss
+    discretization of the measure.  Weights whose sum is off 1 by more
+    than ``_WEIGHT_SUM_TOL`` are a :class:`DomainError`.
     """
     glo, ghi = t.gershgorin()
     if not math.isfinite(ghi - glo):
@@ -228,24 +282,99 @@ def eigenvalues(t, tol=None, weights=False):
     else:
         counter = _sturm_counts(t)
         pad = 1e-6 * max(ghi - glo, 1.0)
-        span = (ghi - glo) + 2.0 * pad
-        lo, hi = np.full(N, glo - pad), np.full(N, ghi + pad)
-        target = np.arange(1, N + 1)
-        # fixed step count: intervals halve each sweep; looping on the
-        # interval width instead can spin forever once hi - lo reaches the
-        # double-precision spacing at large magnitudes; the ratio is clamped
-        # so that a subnormal tol does not take log2 to inf
-        ratio = min(span / tol, 2.0 ** _MAX_SWEEPS)
-        steps = min(_MAX_SWEEPS, max(1, int(math.ceil(math.log2(ratio))) + 2))
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            counts = counter(mid)
-            above = counts >= target
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        eigs = 0.5 * (lo + hi)
-    w = _gauss_weights(t, eigs) if weights else None
+        eigs, (lo, hi, k), sweeps = _isolate(counter, N, glo - pad, ghi + pad,
+                                             tol)
+        eigs[k] = _polish(counter, lo, hi, k, tol, _MAX_SWEEPS - sweeps)
+    w = None
+    if weights:
+        w = _gauss_weights(t, eigs)
+        total = float(np.sum(w))
+        if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:
+            raise DomainError("Gauss weights sum to %r, not 1 within %g"
+                              % (total, _WEIGHT_SUM_TOL))
     return TruncationSpectrum(order=N, eigenvalues=eigs, weights=w)
+
+
+def _isolate(counter, order, lo, hi, tol):
+    """Phase 1: bisect [lo, hi] until every interval holds one eigenvalue.
+
+    Each interval carries (lo, hi, count(lo), count(hi)); a sweep counts
+    at the midpoint of every interval that still holds several
+    eigenvalues and splits it there.  An interval with one eigenvalue
+    leaves the shift vector for phase 2; one at most ``tol`` wide, or
+    too narrow to have a float strictly inside, gives its midpoint to all
+    of its eigenvalues, as do the intervals left after ``_MAX_SWEEPS``.
+    Returns (eigenvalues so placed, the isolating intervals as arrays
+    (lo, hi, index of their eigenvalue), sweeps run).
+    """
+    eigs = np.empty(order)
+    lo, hi = np.array([lo]), np.array([hi])
+    nlo, nhi = np.array([0]), np.array([order])
+    isolated = [(lo[:0], hi[:0], nlo[:0])]
+    sweeps = 0
+    while len(lo):
+        mid = 0.5 * (lo + hi)
+        done = (hi - lo <= tol) | ~((lo < mid) & (mid < hi))
+        if sweeps == _MAX_SWEEPS:
+            done[:] = True
+        for a, b, x in zip(nlo[done].tolist(), nhi[done].tolist(),
+                           mid[done].tolist()):
+            eigs[a:b] = x
+        lo, hi, nlo, nhi, mid = (v[~done] for v in (lo, hi, nlo, nhi, mid))
+        if not len(mid):
+            break
+        # clipped, so that the intervals always partition 0..order-1
+        count = np.clip(counter(mid), nlo, nhi)
+        sweeps += 1
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        nlo, nhi = np.concatenate((nlo, count)), np.concatenate((count, nhi))
+        one, several = nhi - nlo == 1, nhi - nlo > 1
+        isolated.append((lo[one], hi[one], nlo[one]))
+        lo, hi, nlo, nhi = (v[several] for v in (lo, hi, nlo, nhi))
+    return eigs, [np.concatenate(v) for v in zip(*isolated)], sweeps
+
+
+def _polish(counter, lo, hi, k, tol, sweeps):
+    """Phase 2: safeguarded Newton for eigenvalue k[j] in (lo[j], hi[j]).
+
+    Each sweep takes the counts and the Newton steps -1 / sum d'/d at the
+    current points in one pass of the kernel.  The count puts the point
+    on one end of its bracket.  A node is final when its step is at most
+    ``tol`` and lands in the closed bracket, or when the bracket is at
+    most ``tol`` wide or has no float strictly inside; it leaves the
+    shift vector.  Otherwise the next point is the Newton iterate if it
+    lies in the open bracket.  An iterate past the far end goes to that
+    end, once in a row: an eigenvalue on the end (a shift that hit it in
+    phase 1) is then final after one more step, instead of bisection
+    halving towards it.  Any other iterate is replaced by the bracket's
+    midpoint.  After ``sweeps`` sweeps the points left are the nodes.
+    """
+    nodes = np.empty(len(k))
+    todo = np.arange(len(k))
+    x = 0.5 * (lo + hi)
+    jumped = np.zeros(len(k), dtype=bool)
+    for _ in range(sweeps):
+        if not len(todo):
+            break
+        count, slope = counter(x, log_derivative=True)
+        above = count > k
+        lo, hi = np.where(above, lo, x), np.where(above, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = -1.0 / slope
+            new = x + step
+        mid = 0.5 * (lo + hi)
+        inside = (lo <= new) & (new <= hi)
+        final = ((np.abs(step) <= tol) & inside) | (hi - lo <= tol) \
+            | ~((lo < mid) & (mid < hi))
+        nodes[todo[final]] = np.where(inside, new, mid)[final]
+        far = np.where(above, lo, hi)
+        past = ~jumped & np.where(above, new <= lo, new >= hi)
+        x = np.where((lo < new) & (new < hi), new, np.where(past, far, mid))
+        keep = ~final
+        todo, lo, hi, k, x, jumped = (v[keep] for v in (todo, lo, hi, k, x,
+                                                        past))
+    nodes[todo] = x
+    return nodes
 
 
 def density_report(seq, order, window, bin_width):

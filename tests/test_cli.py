@@ -302,8 +302,9 @@ def test_density_through_exact_zero_pivots_is_silent(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("big", ["1e300", "1e200"])
-def test_spectrum_weights_of_huge_diagonal_are_silent(big, tmp_path, capsys):
-    # b alternating +-big with a = 1: p_n passes binary64's range in two rows
+def test_spectrum_weights_of_huge_diagonal_exit_3(big, tmp_path, capsys):
+    # b alternating +-big with a = 1: p_n passes binary64's range in two
+    # rows, every weight comes out 0, and weights that sum to 0 are an error
     table = tmp_path / "huge_b.csv"
     table.write_text("".join("%d,1,%s%s\n" % (n, "-" if n % 2 else "", big)
                              for n in range(20)))
@@ -311,12 +312,24 @@ def test_spectrum_weights_of_huge_diagonal_are_silent(big, tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["spectrum", "--seq", "table:" + str(table), "--size", "20",
-                    "--weights", "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    rows = (out / "spectrum.csv").read_text().splitlines()[1:]
-    weights = [float(row.split(",")[2]) for row in rows]
-    assert len(weights) == 20
-    assert all(0.0 <= w <= 1.0 for w in weights)
+                    "--weights", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: Gauss weights sum to 0.0, not 1 within 1e-06"]
+    assert list(out.glob("*")) == []
+
+
+def test_analyze_underflowing_step_exits_3(tmp_path, capsys):
+    # a(0)/a(1) = 1e-300/1e300 underflows: at lambda 0 with b = 0 the pair
+    # (u(1), u(2)) is (0, 0) relative to u(0)
+    table = tmp_path / "F.csv"
+    table.write_text("0,1e-300,0\n1,1e300,0\n2,1,0\n3,1,0\n")
+    out = tmp_path / "out"
+    assert run(["analyze", "--seq", "table:" + str(table), "--lambda", "0",
+                "--n", "3", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: propagation underflows at n = 1: a(0)/a(1) = 1e-300/1e+300 "
+        "rounds to 0, so (u(1), u(2)) is (0, 0) relative to u(0)"]
+    assert list(out.glob("*.csv")) == []
 
 
 @pytest.mark.parametrize("argv, code", [

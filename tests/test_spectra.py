@@ -3,9 +3,12 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+
+import test_golden
 
 from jacobi_spectra import (
     DomainError,
@@ -16,7 +19,7 @@ from jacobi_spectra import (
     sturm_count,
     truncate,
 )
-from jacobi_spectra import spectra
+from jacobi_spectra import cli, spectra
 from jacobi_spectra.sequences import SequencePair
 from jacobi_spectra.spectra import (
     Truncation,
@@ -103,17 +106,30 @@ def test_sturm_count_matches_scipy():
             assert sturm_count(t, float(x)) == int(np.sum(eigs < x))
 
 
-def _sturm_counts_index_loop(diag, off2, shifts, pivmin):
-    """Reference Sturm sweep: index loop, np.where pivot substitution."""
+def _sturm_counts_index_loop(diag, off2, shifts, pivmin, log_derivative=False):
+    """Reference Sturm sweep: index loop, np.where pivot substitution.
+
+    With ``log_derivative`` it also returns sum_i d'_i / d_i, where
+    d'_i = -1 + q_i d'_{i-1} / d_{i-1}, q_i = a_{i-1}**2 / d_{i-1}, is
+    carried as the ratio r_i = d'_i / d_i = (q_i / d_i) r_{i-1} - 1 / d_i
+    and added row by row.
+    """
     shifts = np.asarray(shifts, dtype=float)
     d = diag[0] - shifts
     d = np.where(np.abs(d) < pivmin, -pivmin, d)
     count = (d < 0.0).astype(np.int64)
+    r = -1.0 / d
+    total = r
     for i in range(1, len(diag)):
-        d = (diag[i] - shifts) - off2[i - 1] / d
+        q = off2[i - 1] / d
+        d = (diag[i] - shifts) - q
         d = np.where(np.abs(d) < pivmin, -pivmin, d)
         count += d < 0.0
-    return count
+        # near an eigenvalue r is ~1/pivmin; its products may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = (q / d) * r - 1.0 / d
+            total = total + r
+    return (count, total) if log_derivative else count
 
 
 def _hit_rows(t, shift):
@@ -153,10 +169,17 @@ def _pivot_hits_at(order, hits):
 
 
 def _assert_counts_match(t, shifts):
+    """Counts of both kernel modes, and the log-derivative sum, bit for bit
+    against the index loop."""
     off2, pivmin = _sturm_setup(t)
     got = _sturm_counts_vec(t.diag, off2, shifts, pivmin)
-    expected = _sturm_counts_index_loop(t.diag, off2, shifts, pivmin)
+    expected, total = _sturm_counts_index_loop(t.diag, off2, shifts, pivmin,
+                                               log_derivative=True)
     assert np.array_equal(got, expected)
+    newton, got_total = _sturm_counts_vec(t.diag, off2, shifts, pivmin,
+                                          log_derivative=True)
+    assert np.array_equal(newton, got)
+    assert np.array_equal(got_total.view(np.int64), total.view(np.int64))
 
 
 def test_sturm_counts_match_index_loop():
@@ -308,6 +331,103 @@ def test_eigenvalues_rejects_bad_tol():
     t = truncate(instantiate("const"), 5)
     with pytest.raises(DomainError):
         eigenvalues(t, tol=0.0)
+
+
+def _recorded_sweeps(monkeypatch):
+    """(log_derivative, shifts) of every kernel call, in call order."""
+    calls = []
+    kernel = spectra._sturm_counts_vec
+
+    def recording(diag, off2, shifts, pivmin, log_derivative=False):
+        calls.append((log_derivative, np.array(shifts)))
+        return kernel(diag, off2, shifts, pivmin, log_derivative)
+
+    monkeypatch.setattr(spectra, "_sturm_counts_vec", recording)
+    return calls
+
+
+@pytest.mark.parametrize("text, order, interval, newton", [
+    ("chihara", 500, 17, 11), ("paired:eps=0.01,inner=pow,alpha=1", 300, 11, 11),
+])
+def test_isolate_then_polish_sweeps(text, order, interval, newton, monkeypatch):
+    calls = _recorded_sweeps(monkeypatch)
+    eigenvalues(truncate(instantiate(text), order))
+    # count-only bisection sweeps, then Newton sweeps; 42-43 sweeps before
+    assert [mode for mode, _ in calls] == [False] * interval + [True] * newton
+    # one midpoint per interval, starting from the one Gershgorin interval
+    assert len(calls[0][1]) == 1
+    assert all(len(np.unique(shifts)) == len(shifts) for _, shifts in calls)
+    # every eigenvalue is isolated; converged nodes leave the shift vector
+    sizes = [len(shifts) for mode, shifts in calls if mode]
+    assert sizes[0] == order and sizes == sorted(sizes, reverse=True)
+
+
+def test_polished_eigenvalues_match_scipy_to_rounding():
+    # bisection alone left errors of ~1.1e-13 of the radius (tol 1e-12)
+    for text in CATALOG + ["paired:eps=0.01,inner=pow,alpha=1"]:
+        t = truncate(instantiate(text), 300)
+        got = eigenvalues(t).eigenvalues
+        expected = scipy.linalg.eigh_tridiagonal(
+            t.diag, t.offdiag, eigvals_only=True)
+        radius = max(1.0, *map(abs, t.gershgorin()))
+        assert np.max(np.abs(got - expected)) < 2e-14 * radius
+
+
+def test_newton_on_an_exact_eigenvalue(monkeypatch):
+    t = Truncation(np.zeros(3), np.ones(2))  # eigenvalues -sqrt2, 0, sqrt2
+    _, pivmin = _sturm_setup(t)
+    assert _hit_rows(t, 0.0) == [0]
+    # the bracket (-1, 1) puts the first Newton point on 0 itself, where
+    # the first pivot is substituted; the step there is about -pivmin / 2
+    node = spectra._polish(spectra._sturm_counts(t), np.array([-1.0]),
+                           np.array([1.0]), np.array([1]), 1e-12, 5)
+    assert np.isfinite(node[0]) and abs(node[0]) <= pivmin
+    # the first bisection midpoint is 0, so the middle eigenvalue's bracket
+    # ends on it; Newton steps past that end go to it once, instead of
+    # bisection halving towards it for ~40 sweeps
+    calls = _recorded_sweeps(monkeypatch)
+    eigs = eigenvalues(t).eigenvalues
+    assert calls[0][1].tolist() == [0.0]
+    assert np.all(np.isfinite(eigs)) and abs(eigs[1]) <= pivmin
+    assert eigs[0] == pytest.approx(-math.sqrt(2.0), abs=4e-16)
+    assert eigs[2] == pytest.approx(math.sqrt(2.0), abs=4e-16)
+    assert len(calls) <= 10
+
+
+def test_cluster_within_tol_shares_its_midpoint():
+    # Wilkinson W21+: its two largest eigenvalues differ by ~1e-14
+    t = Truncation(np.abs(np.arange(21) - 10.0), np.ones(20))
+    expected = scipy.linalg.eigh_tridiagonal(
+        t.diag, t.offdiag, eigvals_only=True)
+    for tol in (1e-10, 1e-14):
+        eigs = eigenvalues(t, tol=tol).eigenvalues
+        assert (eigs[-1] == eigs[-2]) == (tol == 1e-10)
+        assert np.max(np.abs(eigs - expected)) <= tol / 2
+
+
+@pytest.mark.parametrize("tol", [1e-320, 1e-300])
+def test_subnormal_tol_stays_within_max_sweeps(tol, monkeypatch):
+    calls = _recorded_sweeps(monkeypatch)
+    eigs = eigenvalues(truncate(instantiate("const"), 10), tol=tol).eigenvalues
+    assert len(calls) <= spectra._MAX_SWEEPS
+    expected = 2.0 * np.cos(np.arange(10, 0, -1) * math.pi / 11)
+    assert np.max(np.abs(eigs - expected)) < 1e-15
+
+
+@pytest.mark.parametrize("max_sweeps", [0, 1, 3, 12])
+def test_both_phases_share_max_sweeps(max_sweeps, monkeypatch):
+    t = truncate(instantiate("chihara"), 60)
+    calls = _recorded_sweeps(monkeypatch)
+    eigenvalues(t)
+    assert len(calls) > 12 and any(mode for mode, _ in calls[:12])
+    del calls[:]
+    monkeypatch.setattr(spectra, "_MAX_SWEEPS", max_sweeps)
+    eigs = eigenvalues(t).eigenvalues
+    assert len(calls) == max_sweeps
+    # the nodes left when the sweeps run out stay in their brackets
+    lo, hi = t.gershgorin()
+    assert np.all(np.isfinite(eigs)) and np.all(np.diff(eigs) >= 0.0)
+    assert lo - 1e-3 <= eigs[0] and eigs[-1] <= hi + 1e-3
 
 
 # --- density reports -------------------------------------------------------
@@ -468,13 +588,76 @@ def test_gauss_weights_silent_and_bounded_on_extreme_coefficients(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if nodes is None:
-            weights = eigenvalues(t, weights=True).weights
+            nodes = eigenvalues(t).eigenvalues
+            # weights that sum to 0, not 1, are an error, not an output
+            with pytest.raises(DomainError, match="sum to 0.0, not 1"):
+                eigenvalues(t, weights=True)
+            weights = _gauss_weights(t, nodes)
         else:
             weights = _gauss_weights(t, np.array(nodes))
+            assert weights[0] == 1.0
     assert np.all(np.isfinite(weights))
     assert np.all((weights >= 0.0) & (weights <= 1.0))
-    if nodes is not None:
-        assert weights[0] == 1.0
+
+
+def _true_node_and_weight(a, b, x):
+    """Eigenvalue of the float truncation (a, b) nearest x, and its weight.
+
+    Runs in the current mpmath precision on the exact binary64 entries:
+    Newton on the monic characteristic polynomial q_N from the node x,
+    then the weight 1 / sum_{j<N} p_j**2 of the orthonormal polynomials
+    there.
+    """
+    mpf = mpmath.mpf
+    a, b = [mpf(float(v)) for v in a], [mpf(float(v)) for v in b]
+    lam, eps = mpf(float(x)), mpf(10) ** (5 - mpmath.mp.dps)
+    for _ in range(20):
+        # (q_{n-1}, q_n) and their derivatives in lam
+        q0, q1, dq0, dq1 = mpf(1), lam - b[0], mpf(0), mpf(1)
+        for n in range(1, len(b)):
+            q0, q1, dq0, dq1 = (q1, (lam - b[n]) * q1 - a[n - 1] ** 2 * q0,
+                                dq1, q1 + (lam - b[n]) * dq1
+                                - a[n - 1] ** 2 * dq0)
+        step = q1 / dq1
+        lam -= step
+        if abs(step) <= eps * max(1, abs(lam)):
+            break
+    else:
+        raise AssertionError("Newton on q_N did not converge from %r" % x)
+    p0, p1 = mpf(1), (lam - b[0]) / a[0]
+    total = 1 + p1 ** 2
+    for n in range(1, len(b) - 1):
+        p0, p1 = p1, ((lam - b[n]) * p1 - a[n - 1] * p0) / a[n]
+        total += p1 ** 2
+    return lam, 1 / total
+
+
+@pytest.mark.parametrize("family", sorted(test_golden.FAMILIES))
+def test_golden_weights_against_true_eigenvalues(family, tmp_path,
+                                                 monkeypatch):
+    # the spectrum-weights-<family> golden job, against its float
+    # truncation's true eigenvalues and weights at 40 digits.  Bisection
+    # nodes (tol 1e-12 of the radius) were off by up to 1.1e-13 of the
+    # radius and their weights by up to 4e-10; polished nodes are off by
+    # at most 8e-17 of the radius and their weights by at most 3e-15.
+    monkeypatch.chdir(tmp_path)
+    test_golden._write_inputs(str(tmp_path))
+    argv = test_golden.JOBS["spectrum-weights-" + family]
+    assert cli.main(argv + ["--out", "out"]) == 0
+    rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()[1:]
+    _, nodes, weights = np.array([r.split(",") for r in rows], dtype=float).T
+    t = truncate(instantiate(test_golden.FAMILIES[family]), len(nodes))
+    radius = max(1.0, *map(abs, t.gershgorin()))
+    with mpmath.workdps(40):
+        true = [_true_node_and_weight(t.offdiag, t.diag, x) for x in nodes]
+        lams = [lam for lam, _ in true]
+        assert all(x < y for x, y in zip(lams, lams[1:]))
+        node_err = max(abs(mpmath.mpf(float(x)) - lam)
+                       for x, lam in zip(nodes, lams))
+        weight_err = max(abs(mpmath.mpf(float(w)) - tw)
+                         for w, (_, tw) in zip(weights, true))
+    assert node_err <= 2.5e-16 * radius
+    assert weight_err <= 1e-14
 
 
 def test_gauss_discrete_orthonormality():
