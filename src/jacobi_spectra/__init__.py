@@ -8,7 +8,7 @@ Submodules:
   evaluation;
 * :mod:`jacobi_spectra.diagnostics` - the commutator sequence S(n) and the
   theorem hypothesis checkers;
-* :mod:`jacobi_spectra.spectra` - truncation spectra by Sturm bisection and
+* :mod:`jacobi_spectra.spectra` - truncation spectra by Sturm multisection and
   Gauss discretizations of the spectral measure;
 * :mod:`jacobi_spectra.transforms` - sign flip, even/odd restrictions of
   the square, and birth-death generator conversion;

@@ -153,7 +153,17 @@ def _propagate_rows(a, b, lam, u0, u1):
             "propagation underflows at n = %d: a(%d)/a(%d) = %r/%r rounds to "
             "0, so (u(%d), u(%d)) is (0, 0) relative to u(%d)"
             % (n, n - 1, n, a[n - 1], a[n], n, n + 1, n - 1)) from None
-    return np.array(rows).reshape(-1, 3)
+    rows = np.array(rows).reshape(-1, 3)
+    # a finite pair stays finite unless one step's ratio overflows: then
+    # r is inf and every later logscale inf or nan
+    if not math.isfinite(logscale) and math.isfinite(rows[0, 2]):
+        n = int(np.argmin(np.isfinite(rows[:, 2])))
+        raise DomainError(
+            "propagation overflows at n = %d: u(%d) is beyond binary64 "
+            "relative to (u(%d), u(%d)), with a(%d) = %r, a(%d) = %r and "
+            "lam - b(%d) = %r"
+            % (n, n + 1, n - 1, n, n - 1, a[n - 1], n, a[n], n, lam - b[n]))
+    return rows
 
 
 def propagate(seq, lam, init, n_max):

@@ -1,4 +1,4 @@
-"""Finite-section spectra via Sturm-sequence bisection and Newton polishing.
+"""Finite-section spectra via Sturm-sequence multisection and Newton polishing.
 
 The N x N leading principal submatrix of a Jacobi matrix is symmetric
 tridiagonal with positive off-diagonals, hence has simple spectrum.  The
@@ -7,13 +7,15 @@ shift, read off the signs of the LDL^T pivot recursion (at order >= 2 an
 eigenvalue equal to the shift is counted too when its pivot comes out
 below ``pivmin``, see :func:`sturm_count`).  Differencing counts at bin
 edges yields eigenvalue densities without a full eigensolve.
-:func:`eigenvalues` bisects intervals on the count until each holds one
-eigenvalue, then runs a safeguarded Newton step on det(T - x) inside
-each isolating bracket, as LAPACK's ``dstebz`` isolates (Kahan's
-bisection; Demmel, Dhillon & Ren 1995 on its correctness).
+:func:`eigenvalues` splits intervals on the count until each holds one
+eigenvalue, an interval with c eigenvalues at c points per sweep
+(multisection, Lo, Philippe & Sameh 1987), then runs a safeguarded Newton
+step on det(T - x) inside each isolating bracket, as LAPACK's ``dstebz``
+isolates (Kahan's bisection; Demmel, Dhillon & Ren 1995 on its
+correctness).
 
-One sweep computes the counts for a whole vector of shifts (every interval
-midpoint of a bisection step, every Newton point, or every bin edge).  It
+One sweep computes the counts for a whole vector of shifts (every split
+point of a multisection step, every Newton point, or every bin edge).  It
 runs down the rows of the recursion in blocks: each row costs two numpy
 calls, and the test for pivots below ``pivmin`` and the sign count run
 once per block.  A block that holds such a pivot is redone from its first
@@ -21,7 +23,9 @@ one with the row-by-row sweep that substitutes ``-pivmin``, so the counts
 are bit-identical to that sweep's.  For Newton the same pass also carries
 the log-derivative sum_i d'_i / d_i, two more numpy calls per row; count
 callers do not pay for it.  The cost is numpy call overhead per row and
-sweep, not arithmetic: the shift vectors are a few hundred long, and
+sweep, not arithmetic: a sweep costs about the same at one shift as at a
+few hundred, so multisection fills the first sweeps with as many shifts
+as the order and isolates in a handful of sweeps; the shift vectors then
 shrink as intervals isolate and nodes converge.
 
 Gauss weights come from one three-term recurrence over all nodes at once,
@@ -250,10 +254,11 @@ def sturm_count(t, x):
 
 
 def eigenvalues(t, tol=None, weights=False):
-    """All eigenvalues: bisection until isolated, then safeguarded Newton.
+    """All eigenvalues: multisection until isolated, then safeguarded Newton.
 
-    Phase 1 (:func:`_isolate`) splits intervals of the Gershgorin bounds
-    at their midpoints until each holds one eigenvalue; phase 2
+    Phase 1 (:func:`_isolate`) splits intervals of the Gershgorin bounds,
+    each at as many equispaced points as it holds eigenvalues, until each
+    holds one eigenvalue; phase 2
     (:func:`_polish`) runs Newton on det(T - x) inside each isolating
     bracket.  ``tol`` is the absolute tolerance; default 1e-12 *
     max(1, spectral radius bound).  It bounds what ends the search, not
@@ -296,18 +301,23 @@ def eigenvalues(t, tol=None, weights=False):
 
 
 def _isolate(counter, order, lo, hi, tol):
-    """Phase 1: bisect [lo, hi] until every interval holds one eigenvalue.
+    """Phase 1: multisect [lo, hi] until every interval holds one eigenvalue.
 
-    Each interval carries (lo, hi, count(lo), count(hi)); a sweep counts
-    at the midpoint of every interval that still holds several
-    eigenvalues and splits it there.  An interval with one eigenvalue
-    leaves the shift vector for phase 2; one at most ``tol`` wide, or
-    too narrow to have a float strictly inside, gives its midpoint to all
-    of its eigenvalues, as do the intervals left after ``_MAX_SWEEPS``.
-    Returns (eigenvalues so placed, the isolating intervals as arrays
-    (lo, hi, index of their eigenvalue), sweeps run).
+    Each interval carries (lo, hi, count(lo), count(hi)) and the intervals
+    stay in increasing order.  A sweep splits every interval that holds
+    c >= 2 eigenvalues at the c points lo + (hi - lo) j / (c + 1),
+    j = 1..c, into c + 1 pieces (Lo, Philippe & Sameh 1987), so one sweep
+    counts at most ``order`` shifts, in increasing order.  Where rounding
+    puts a point on the one before it or on ``hi``, the point is dropped
+    and its two pieces are one.  A piece with several eigenvalues is split
+    again, one with one leaves the shift vector for phase 2, one with none
+    is dropped.  An interval at most ``tol`` wide, or with no float
+    strictly inside, gives its midpoint to all of its eigenvalues, as do
+    the intervals left after ``_MAX_SWEEPS``.  Returns (eigenvalues so
+    placed, NaN elsewhere; the isolating intervals as arrays (lo, hi,
+    index of their eigenvalue); sweeps run).
     """
-    eigs = np.empty(order)
+    eigs = np.full(order, np.nan)
     lo, hi = np.array([lo]), np.array([hi])
     nlo, nhi = np.array([0]), np.array([order])
     isolated = [(lo[:0], hi[:0], nlo[:0])]
@@ -320,14 +330,29 @@ def _isolate(counter, order, lo, hi, tol):
         for a, b, x in zip(nlo[done].tolist(), nhi[done].tolist(),
                            mid[done].tolist()):
             eigs[a:b] = x
-        lo, hi, nlo, nhi, mid = (v[~done] for v in (lo, hi, nlo, nhi, mid))
-        if not len(mid):
+        lo, hi, nlo, nhi = (v[~done] for v in (lo, hi, nlo, nhi))
+        if not len(lo):
             break
-        # clipped, so that the intervals always partition 0..order-1
-        count = np.clip(counter(mid), nlo, nhi)
+        # point j of interval i is entry first[i] + j - 1 of x
+        c = nhi - nlo
+        first = np.cumsum(c) - c
+        owner = np.repeat(np.arange(len(c)), c)
+        j = np.arange(len(owner)) - first[owner] + 1
+        x = lo[owner] + (hi - lo)[owner] * (j / (c + 1)[owner])
+        prev = np.concatenate(([-np.inf], x[:-1]))
+        prev[first] = lo
+        keep = (prev < x) & (x < hi[owner])
+        x, owner = x[keep], owner[keep]
+        # clipped and nondecreasing, so that the intervals always
+        # partition 0..order-1
+        count = np.clip(counter(x), nlo[owner], nhi[owner])
+        np.maximum.accumulate(count, out=count)
         sweeps += 1
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        nlo, nhi = np.concatenate((nlo, count)), np.concatenate((count, nhi))
+        # interval i becomes the pieces between lo[i], its kept points, hi[i]
+        starts = np.searchsorted(owner, np.arange(len(c)))
+        ends = np.searchsorted(owner, np.arange(len(c)), side="right")
+        lo, nlo = np.insert(x, starts, lo), np.insert(count, starts, nlo)
+        hi, nhi = np.insert(x, ends, hi), np.insert(count, ends, nhi)
         one, several = nhi - nlo == 1, nhi - nlo > 1
         isolated.append((lo[one], hi[one], nlo[one]))
         lo, hi, nlo, nhi = (v[several] for v in (lo, hi, nlo, nhi))
@@ -419,13 +444,18 @@ def _gauss_weights(t, nodes):
     more is brought into [1/2, 1) by the power of two 2**-k, k its
     ``np.frexp`` exponent, and p_{n-1} and s are scaled with it by 2**-k
     and 2**-2k.  A multiplication by a power of two rounds nothing above
-    the subnormal range, so the only rounding is that of the recurrence
-    and the sum, and nothing that is squared or summed reaches N.  The
-    scale never grows back: scaling up where the p_j shrink would overflow
-    s, which holds p_0**2 = 1 in true scale; a pair that shrinks past the
-    subnormal range below the largest p_j so far adds nothing to s.  The
-    weight is ``ldexp(1/s, -2e)`` with s >= 1/4, rounded once, and 0 where
-    it is below binary64's range.  No (N, nodes) array is stored.
+    the subnormal range, so the only rounding is that of the recurrence,
+    the squares and the sum, and nothing that is squared or summed reaches
+    N.  The sum is compensated: the rounding error of each addition is
+    found exactly (Knuth's TwoSum) and collected in c, scaled with s, so
+    s + c carries the sum of the rounded squares to about one rounding.
+    Where few terms matter, at small orders, the plain sum's rounding
+    would otherwise be most of the weight's error.  The scale never grows
+    back: scaling up where the p_j shrink would overflow s, which holds
+    p_0**2 = 1 in true scale; a pair that shrinks past the subnormal range
+    below the largest p_j so far adds nothing to s.  The weight is
+    ``ldexp(1/(s + c), -2e)`` with s >= 1/4, and 0 where it is below
+    binary64's range.  No (N, nodes) array is stored.
     """
     nodes = np.asarray(nodes, dtype=float)
     # a(N-1) is never part of p_0..p_{N-1}; pad it so the pair at the
@@ -433,7 +463,8 @@ def _gauss_weights(t, nodes):
     a = np.concatenate((t.offdiag, [1.0]))
     b = t.diag
     x, y = np.ones(len(nodes)), (nodes - b[0]) / a[0]
-    s, e = x.copy(), np.zeros(len(nodes), dtype=np.int64)
+    s, c = x.copy(), np.zeros(len(nodes))
+    e = np.zeros(len(nodes), dtype=np.int64)
     # far from the spectrum a weight, or a shrinking pair, underflows to 0
     # on purpose, even where the caller traps underflow
     with np.errstate(under="ignore"):
@@ -442,11 +473,18 @@ def _gauss_weights(t, nodes):
             e -= k
             x = np.ldexp(x, k)
             y = np.ldexp(y, k)
-            s = np.ldexp(s, k + k)
-            s += y * y
+            k += k
+            s = np.ldexp(s, k)
+            c = np.ldexp(c, k)
+            # TwoSum: s + p is exactly total + (s - (total - z)) + (p - z)
+            p = y * y
+            total = s + p
+            z = total - s
+            c += (s - (total - z)) + (p - z)
+            s = total
             # a(n) p(n+1) = (lam - b(n)) p(n) - a(n-1) p(n-1)
             x, y = y, ((nodes - b[n]) * y - a[n - 1] * x) / a[n]
-        return np.ldexp(1.0 / s, -2 * e)
+        return np.ldexp(1.0 / (s + c), -2 * e)
 
 
 def write_spectrum_csv(path, spectrum):

@@ -332,6 +332,23 @@ def test_analyze_underflowing_step_exits_3(tmp_path, capsys):
     assert list(out.glob("*.csv")) == []
 
 
+def test_analyze_overflowing_step_exits_3(tmp_path, capsys):
+    # a(0)/a(1) = 1e300/1e-300 overflows: u(2) is -inf relative to u(0),
+    # where the pair used to turn into (0, nan) with numpy warnings
+    table = tmp_path / "G.csv"
+    table.write_text("0,1e300,0\n1,1e-300,0\n2,1,0\n3,1,0\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["analyze", "--seq", "table:" + str(table), "--lambda",
+                    "0.5", "--n", "3", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: propagation overflows at n = 1: u(2) is beyond binary64 "
+        "relative to (u(0), u(1)), with a(0) = 1e+300, a(1) = 1e-300 and "
+        "lam - b(1) = 0.5"]
+    assert list(out.glob("*.csv")) == []
+
+
 @pytest.mark.parametrize("argv, code", [
     # the ids of the exit-3 cases are those of the earlier argv-only form
     pytest.param(["transform", "even", "--seq", "chihara", "--n", "5"], 3,

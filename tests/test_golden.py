@@ -18,6 +18,9 @@ so on another libm a last-bit difference can fail this test without any
 defect in the package.  Regenerate after an intended output change with
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+which prints one ``moved: <job> <part>`` line for each exit code, stdout
+or file whose digest changed, so a re-record shows exactly what moved.
 """
 
 import contextlib
@@ -193,9 +196,35 @@ def test_recorded_grid_matches_jobs(recorded):
     assert sorted(recorded) == sorted(JOBS)
 
 
+def test_moved_names_each_changed_part():
+    old = {"a": {"exit": 0, "stdout": "s", "files": {"x.csv": "1", "y.csv": "2"}},
+           "b": {"exit": 0, "stdout": "s", "files": {}}}
+    new = {"a": {"exit": 0, "stdout": "s", "files": {"x.csv": "1", "y.csv": "3"}},
+           "b": {"exit": 3, "stdout": "s", "files": {}},
+           "c": {"exit": 0, "stdout": "s", "files": {}}}
+    assert moved(old, old) == []
+    assert moved(old, new) == [("a", "y.csv"), ("b", "exit"), ("c", "exit"),
+                               ("c", "stdout")]
+
+
 @pytest.mark.parametrize("job_id", sorted(JOBS))
 def test_golden(job_id, workdir, recorded):
     assert run_job(job_id, workdir) == recorded[job_id]
+
+
+def _entries(digests):
+    """{(job, part): digest}, part "exit", "stdout" or a written file."""
+    return {(job_id, part): value
+            for job_id, d in digests.items()
+            for part, value in [("exit", d["exit"]), ("stdout", d["stdout"]),
+                                *d["files"].items()]}
+
+
+def moved(old, new):
+    """The sorted (job, part) pairs whose digest differs, appeared or went."""
+    old, new = _entries(old), _entries(new)
+    return sorted(key for key in old.keys() | new.keys()
+                  if old.get(key) != new.get(key))
 
 
 if __name__ == "__main__":
@@ -204,5 +233,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         _write_inputs(tmp)
         digests = {job_id: run_job(job_id, tmp) for job_id in sorted(JOBS)}
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    for job_id, part in moved(old, digests):
+        print("moved: %s %s" % (job_id, part))
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print("recorded %d jobs to %s" % (len(digests), DIGESTS.name))

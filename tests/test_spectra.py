@@ -347,19 +347,85 @@ def _recorded_sweeps(monkeypatch):
 
 
 @pytest.mark.parametrize("text, order, interval, newton", [
-    ("chihara", 500, 17, 11), ("paired:eps=0.01,inner=pow,alpha=1", 300, 11, 11),
+    ("chihara", 500, 4, 7), ("paired:eps=0.01,inner=pow,alpha=1", 300, 7, 8),
 ])
 def test_isolate_then_polish_sweeps(text, order, interval, newton, monkeypatch):
     calls = _recorded_sweeps(monkeypatch)
     eigenvalues(truncate(instantiate(text), order))
-    # count-only bisection sweeps, then Newton sweeps; 42-43 sweeps before
+    # count-only multisection sweeps, then Newton sweeps; 17 + 11 and
+    # 11 + 11 with one midpoint per interval, 42-43 with bisection alone
     assert [mode for mode, _ in calls] == [False] * interval + [True] * newton
-    # one midpoint per interval, starting from the one Gershgorin interval
-    assert len(calls[0][1]) == 1
+    # the one Gershgorin interval holds all eigenvalues: order points
+    assert len(calls[0][1]) == order
     assert all(len(np.unique(shifts)) == len(shifts) for _, shifts in calls)
     # every eigenvalue is isolated; converged nodes leave the shift vector
     sizes = [len(shifts) for mode, shifts in calls if mode]
     assert sizes[0] == order and sizes == sorted(sizes, reverse=True)
+
+
+def _isolated(t, tol=None, lo=None, hi=None):
+    """_isolate on t as eigenvalues runs it, with its count-only shifts."""
+    glo, ghi = t.gershgorin()
+    pad = 1e-6 * max(ghi - glo, 1.0)
+    if tol is None:
+        tol = 1e-12 * max(abs(glo), abs(ghi), 1.0)
+    counter, shifts = spectra._sturm_counts(t), []
+
+    def recording(x):
+        shifts.append(np.array(x))
+        return counter(x)
+
+    eigs, brackets, sweeps = spectra._isolate(
+        recording, t.order, glo - pad if lo is None else lo,
+        ghi + pad if hi is None else hi, tol)
+    assert sweeps == len(shifts)
+    return eigs, brackets, shifts
+
+
+@pytest.mark.parametrize("text", CATALOG + ["paired:eps=0.01,inner=pow,alpha=1"])
+def test_isolation_sweeps_carry_at_most_order_increasing_shifts(text):
+    t = truncate(instantiate(text), 300)
+    _, _, shifts = _isolated(t)
+    # the intervals stay in order and their points strictly inside them,
+    # so a sweep's shifts increase strictly across all of its intervals
+    assert len(shifts[0]) == t.order
+    assert all(len(x) <= t.order and np.all(np.diff(x) > 0.0) for x in shifts)
+
+
+@pytest.mark.parametrize("text", CATALOG)
+def test_isolating_brackets_hold_one_scipy_eigenvalue(text):
+    t = truncate(instantiate(text), 300)
+    eigs, (lo, hi, k), _ = _isolated(t)
+    expected = scipy.linalg.eigh_tridiagonal(
+        t.diag, t.offdiag, eigvals_only=True)
+    assert np.all(np.isnan(eigs)) and sorted(k) == list(range(t.order))
+    inside = (lo[:, None] < expected) & (expected <= hi[:, None])
+    assert np.array_equal(inside, np.eye(t.order, dtype=bool)[k])
+
+
+@pytest.mark.parametrize("case, tol", [
+    # Wilkinson W21+: eigenvalues in pairs, its largest two ~40 ulps apart
+    ("w21", 1e-10), ("w21", 1e-14),
+    # four eigenvalues that round to 10.75, in an interval of a few ulps
+    ("cluster", 1e-300),
+])
+def test_isolation_of_tight_clusters_places_every_index_once(case, tol):
+    if case == "w21":
+        t, bounds = Truncation(np.abs(np.arange(21) - 10.0), np.ones(20)), {}
+    else:
+        t = Truncation(np.full(4, 10.75), np.full(3, 1e-100))
+        bounds = {"lo": 10.75 - 1e-14, "hi": 10.75 + 1e-14}
+    eigs, (lo, hi, k), shifts = _isolated(t, tol, **bounds)
+    placed = np.flatnonzero(~np.isnan(eigs))
+    assert sorted(np.concatenate((placed, k))) == list(range(t.order))
+    # no zero-width piece: every bracket and every sweep's points increase
+    assert np.all(lo < hi)
+    assert all(np.all(np.diff(x) > 0.0) for x in shifts)
+    if case == "cluster":
+        # rounding merges the four points of the second sweep into one
+        assert [len(x) for x in shifts] == [4, 1] and len(placed) == 4
+    got = eigenvalues(t, tol=tol).eigenvalues
+    assert not np.any(np.isnan(got)) and np.all(np.diff(got) >= 0.0)
 
 
 def test_polished_eigenvalues_match_scipy_to_rounding():
@@ -382,12 +448,13 @@ def test_newton_on_an_exact_eigenvalue(monkeypatch):
     node = spectra._polish(spectra._sturm_counts(t), np.array([-1.0]),
                            np.array([1.0]), np.array([1]), 1e-12, 5)
     assert np.isfinite(node[0]) and abs(node[0]) <= pivmin
-    # the first bisection midpoint is 0, so the middle eigenvalue's bracket
-    # ends on it; Newton steps past that end go to it once, instead of
-    # bisection halving towards it for ~40 sweeps
+    # the middle of the first sweep's three points is 0, so the middle
+    # eigenvalue's bracket ends on it; Newton steps past that end go to it
+    # once, instead of bisection halving towards it for ~40 sweeps
     calls = _recorded_sweeps(monkeypatch)
     eigs = eigenvalues(t).eigenvalues
-    assert calls[0][1].tolist() == [0.0]
+    assert len(calls[0][1]) == 3 and calls[0][1][1] == 0.0
+    assert [mode for mode, _ in calls[:2]] == [False, True]
     assert np.all(np.isfinite(eigs)) and abs(eigs[1]) <= pivmin
     assert eigs[0] == pytest.approx(-math.sqrt(2.0), abs=4e-16)
     assert eigs[2] == pytest.approx(math.sqrt(2.0), abs=4e-16)
@@ -414,12 +481,14 @@ def test_subnormal_tol_stays_within_max_sweeps(tol, monkeypatch):
     assert np.max(np.abs(eigs - expected)) < 1e-15
 
 
-@pytest.mark.parametrize("max_sweeps", [0, 1, 3, 12])
+@pytest.mark.parametrize("max_sweeps", [0, 1, 2, 6])
 def test_both_phases_share_max_sweeps(max_sweeps, monkeypatch):
     t = truncate(instantiate("chihara"), 60)
     calls = _recorded_sweeps(monkeypatch)
     eigenvalues(t)
-    assert len(calls) > 12 and any(mode for mode, _ in calls[:12])
+    # 3 count-only sweeps, then 7 Newton sweeps: the caps cut into both
+    assert [mode for mode, _ in calls[:4]] == [False] * 3 + [True]
+    assert len(calls) > 6
     del calls[:]
     monkeypatch.setattr(spectra, "_MAX_SWEEPS", max_sweeps)
     eigs = eigenvalues(t).eigenvalues
@@ -562,7 +631,7 @@ def test_gauss_weights_match_longdouble_recurrence(text, order):
     if order == 60:
         assert np.any(reference == 0.0)
     errors = _relative_errors(got, reference)
-    # largest seen: 1.4e-14 (const, order 60, at a band-edge node)
+    # largest seen: 2.7e-14 (const, order 60, at a band-edge node)
     assert np.max(errors) < 6e-14
     if order >= 7:
         parent = _relative_errors(_per_node_gauss_weights(t, nodes),
