@@ -432,20 +432,28 @@ class CorollaryCResult:
     undefined_ratios: int
 
 
+def _grade_slow_growth(a, N, prefix):
+    """Hypotheses a-c of Corollary C and of Theorem 5.1, on a(0..N+1).
+
+    a(n) -> inf, sum 1/a(n) = inf, and the negative parts of
+    a(n+1)/a(n) - 1 summable; verdict ids are ``prefix`` + ".a" to ".c".
+    """
+    terms_c = negative_part(a[1: N + 2] / a[: N + 1] - 1.0)
+    return [
+        ConditionVerdict(prefix + ".a", *_grade_growth_to_inf(a[: N + 1])),
+        ConditionVerdict(prefix + ".b", *_grade_divergent(1.0 / a[: N + 1])),
+        ConditionVerdict(prefix + ".c", *_grade_summable(terms_c)),
+    ]
+
+
 def check_corollary_C(seq, n_max):
     """Essential-spectrum half-line evidence, plus the one-quarter ratio."""
     N = _checker_size(n_max)
     a, b = seq.a_array(N + 2), seq.b_array(N + 2)
 
-    terms_c = negative_part(a[1: N + 2] / a[: N + 1] - 1.0)
     m_terms = a[:N] - b[1: N + 1] + a[1: N + 1]     # n = 1..N
-
-    verdicts = [
-        ConditionVerdict("CorC.a", *_grade_growth_to_inf(a[: N + 1])),
-        ConditionVerdict("CorC.b", *_grade_divergent(1.0 / a[: N + 1])),
-        ConditionVerdict("CorC.c", *_grade_summable(terms_c)),
-        ConditionVerdict("CorC.d", *_grade_limit(m_terms)),
-    ]
+    verdicts = _grade_slow_growth(a, N, "CorC") + [
+        ConditionVerdict("CorC.d", *_grade_limit(m_terms))]
 
     denom = b[: N + 1] * b[1: N + 2]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -6,9 +6,12 @@ one builder that maps an index range to a float array: ``a_array`` and
 ``b_array`` are the path from a family to numbers, and ``a(n)``/``b(n)``
 are single-index views of the same builders.  A custom
 ``SequencePair(a_fn, b_fn)`` built from per-index callables keeps working
-through a per-index builder.  A small flat mini-language
-("family specs") names the catalog of concrete sequence families used
-throughout the package:
+through a per-index builder.  The Jacobi data, the weights alpha of
+:class:`WeightSequence` and the birth-death rates of
+``transforms.BirthDeathRates`` share one checked path, ``_Sequences``:
+one index policy, one range check per rule and one wording of faults.  A
+small flat mini-language ("family specs") names the catalog of concrete
+sequence families used throughout the package:
 
 ==================== =======================================================
 family               entries
@@ -108,14 +111,14 @@ def _slices(values):
     return lambda lo, hi: values[lo:hi]
 
 
-def _positive(values):
+def _positive(values, lo):
     return (values > 0.0) & (values < np.inf)
 
 
 def _checked(build, lo, hi, valid=None, reject=None):
     """build(lo, hi), the entries lo..hi-1 as a float array, checked whole.
 
-    The first entry that ``valid(values)`` rejects raises
+    The first entry that ``valid(values, lo)`` rejects raises
     ``DomainError(reject(index, value))``.  A build may meet a later fault
     before an earlier one (a parent's overflow before an inf product), so a
     failing range is bisected to its first failing index: the fault raised
@@ -134,7 +137,7 @@ def _checked(build, lo, hi, valid=None, reject=None):
             raise RuntimeError("a builder gave shape %r for %d entries"
                                % (values.shape, stop - lo))
         if valid is not None:
-            ok = valid(values)
+            ok = valid(values, lo)
             if not ok.all():
                 i = int(np.argmin(ok))
                 raise DomainError(reject(lo + i, float(values[i])))
@@ -157,45 +160,75 @@ def _checked(build, lo, hi, valid=None, reject=None):
     raise fault
 
 
-class SequencePair:
-    """The Jacobi data {a(n) > 0}, {b(n) real}, each entry finite.
+class _Sequences:
+    """Sequences held as named builders, each mapping an index range lo..hi-1
+    to a float array, with one checked path from builders to arrays.
 
-    a and b are each one builder that maps an index range lo..hi-1 to a
-    float array, validated as a whole by :meth:`a_array`/:meth:`b_array`;
-    :meth:`a`/:meth:`b` are single-index views of them.  The constructor
-    takes per-index callables a_fn(n), b_fn(n) for custom sequences and
-    :meth:`from_builders` takes builders.  ``length`` is None for infinite
-    families and the table size for finite ones.
+    A subclass is data.  ``_rules`` maps each label, in constructor order,
+    to ``(valid, reject)``: ``valid(values, lo)`` marks the good entries of
+    a range that starts at ``lo``, and ``reject(n, value, name)`` words the
+    first bad one.  ``_past_end`` words the first index past ``length``,
+    which is None for an infinite sequence and the size of a finite one.
+    The constructor takes one per-index callable fn(n) per label and
+    :meth:`from_builders` one builder per label.
     """
 
-    def __init__(self, a_fn, b_fn, name="custom", length=None):
-        self._build = {"a": _per_index(a_fn), "b": _per_index(b_fn)}
-        self.name, self.length = name, length
+    name = "custom"
+    _rules = {}
+    _past_end = ("index %(n)d out of range for finite sequence of "
+                 "length %(length)d")
+
+    def __init__(self, *fns, name=None, length=None):
+        self._build = dict(zip(self._rules, map(_per_index, fns), strict=True))
+        if name is not None:
+            self.name = name
+        self.length = length
 
     @classmethod
-    def from_builders(cls, build_a, build_b, name="custom", length=None):
-        pair = cls(None, None, name, length)
-        pair._build = {"a": build_a, "b": build_b}
-        return pair
+    def from_builders(cls, *builders, name=None, length=None):
+        seqs = cls(*builders, name=name, length=length)
+        seqs._build = dict(zip(cls._rules, builders))    # not per-index
+        return seqs
 
     def _values(self, label, lo, hi):
+        """Entries lo..hi-1 of ``label``: the finite part is read and checked
+        whole first, so an entry that breaks its rule, or whose arithmetic
+        faults, is reported before a range past ``length``."""
         if lo < 0:
             raise DomainError("sequence index must be >= 0, got %d" % lo)
         end = hi if self.length is None else min(hi, max(lo, self.length))
-        valid, rule = ((_positive, "violates positivity") if label == "a"
-                       else (np.isfinite, "is not finite"))
+        valid, reject = self._rules[label]
         try:
-            values = _checked(
-                self._build[label], lo, end, valid,
-                lambda n, v: "%s(%d) = %r %s for family %r"
-                % (label, n, v, rule, self.name))
+            values = _checked(self._build[label], lo, end, valid,
+                              lambda n, v: reject(n, v, self.name))
         except _ArithmeticFault as exc:
             raise DomainError("%s(%d) %s for family %r"
                               % (label, exc.index, exc.what, self.name)) from None
         if end < hi:
-            raise DomainError("index %d out of range for finite sequence of "
-                              "length %d" % (end, self.length))
+            raise DomainError(self._past_end % {
+                "label": label, "n": end, "name": self.name,
+                "length": self.length})
         return values
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, self.name)
+
+
+class SequencePair(_Sequences):
+    """The Jacobi data {a(n) > 0}, {b(n) real}, each entry finite.
+
+    a and b are each one builder, validated as a whole by
+    :meth:`a_array`/:meth:`b_array`; :meth:`a`/:meth:`b` are single-index
+    views of them.  ``SequencePair(a_fn, b_fn, name=, length=)`` takes
+    per-index callables for custom sequences.
+    """
+
+    _rules = {
+        "a": (_positive, lambda n, v, name:
+              "a(%d) = %r violates positivity for family %r" % (n, v, name)),
+        "b": (lambda values, lo: np.isfinite(values), lambda n, v, name:
+              "b(%d) = %r is not finite for family %r" % (n, v, name)),
+    }
 
     def a(self, n):
         return float(self._values("a", n, n + 1)[0])
@@ -211,9 +244,6 @@ class SequencePair:
         """b(start..stop-1) as a float array."""
         return self._values("b", start, stop)
 
-    def __repr__(self):
-        return "SequencePair(%r)" % self.name
-
     @classmethod
     def from_table(cls, a_values, b_values=None, name="table"):
         a_values = np.array(a_values, dtype=float)
@@ -225,58 +255,40 @@ class SequencePair:
                                  name=name, length=len(a_values))
 
 
-class WeightSequence:
+class WeightSequence(_Sequences):
     """A positive weight sequence with the fixed convention alpha(-1) = 0.
 
     Built like :class:`SequencePair`: :meth:`array` is the path to numbers
     and ``alpha(n)`` a single-index view; the constructor takes fn(n).
     """
 
-    def __init__(self, fn, name="custom"):
-        self._build, self.name = _per_index(fn), name
-
-    @classmethod
-    def _from_builder(cls, build, name):
-        weights = cls(None, name)
-        weights._build = build
-        return weights
+    _rules = {"alpha": (_positive, lambda n, v, name:
+                        "alpha(%d) = %r is not positive" % (n, v))}
+    _past_end = ("weight table %(name)r has %(length)d entries, "
+                 "alpha(%(n)d) requested")
 
     def __call__(self, n):
-        if n == -1:
-            return 0.0
-        if n < -1:
-            raise DomainError("weight index must be >= -1, got %d" % n)
-        return float(self.array(n + 1, start=n)[0])
+        return 0.0 if n == -1 else float(self.array(n + 1, start=n)[0])
 
     def array(self, stop, start=0):
         """alpha(start..stop-1) as a float array."""
-        return _checked(self._build, start, stop, _positive,
-                        lambda n, v: "alpha(%d) = %r is not positive" % (n, v))
-
-    def __repr__(self):
-        return "WeightSequence(%r)" % self.name
+        return self._values("alpha", start, stop)
 
     @classmethod
     def ones(cls):
-        return cls._from_builder(lambda lo, hi: np.ones(hi - lo), "one")
+        return cls.from_builders(lambda lo, hi: np.ones(hi - lo), name="one")
 
     @classmethod
     def from_a(cls, seq):
         """alpha(n) = a(n), the choice behind the a**2 summability variant."""
-        return cls._from_builder(lambda lo, hi: seq.a_array(hi, start=lo), "a")
+        return cls.from_builders(lambda lo, hi: seq.a_array(hi, start=lo),
+                                 name="a")
 
     @classmethod
     def from_table(cls, values, name="table"):
-        table = _slices(np.array(values, dtype=float))
-
-        def build(lo, hi):
-            if hi > len(values):
-                raise DomainError("weight table %r has %d entries, alpha(%d) "
-                                  "requested" % (name, len(values),
-                                                 max(lo, len(values))))
-            return table(lo, hi)
-
-        return cls._from_builder(build, name)
+        values = np.array(values, dtype=float)
+        return cls.from_builders(_slices(values), name=name,
+                                 length=len(values))
 
     @classmethod
     def iterlog_weight(cls, seq, K, cutoff=None):
@@ -299,7 +311,7 @@ class WeightSequence:
                                        / seq.a_array(hi, start=first))
             return values
 
-        return cls._from_builder(build, "iterlog-K%d" % K)
+        return cls.from_builders(build, name="iterlog-K%d" % K)
 
 
 def _first_iterlog_valid(K):

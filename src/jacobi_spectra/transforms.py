@@ -29,9 +29,9 @@ import numpy as np
 
 from .errors import DomainError
 from . import diagnostics as _diag
-from .diagnostics import ConditionVerdict, overall_verdict
+from .diagnostics import overall_verdict
 from .recurrence import _elementwise
-from .sequences import (SequencePair, _arange, _checked, _items, _per_index,
+from .sequences import (SequencePair, _Sequences, _arange, _checked, _items,
                         _power, _read_table, _slices, _zeros)
 
 __all__ = [
@@ -117,7 +117,14 @@ def square_odd(seq):
 # --- birth-death processes -------------------------------------------------
 
 
-class BirthDeathRates:
+def _mu_valid(values, lo):
+    ok = values > 0.0
+    if lo == 0 and len(ok):
+        ok[0] = not values[0] < 0.0     # mu(0) = 0 is allowed
+    return ok
+
+
+class BirthDeathRates(_Sequences):
     """Birth rates lambda(n) > 0 and death rates mu with mu(0) >= 0.
 
     Built like :class:`SequencePair`: ``lam_array``/``mu_array`` build and
@@ -125,40 +132,20 @@ class BirthDeathRates:
     the constructor takes per-index callables.
     """
 
-    def __init__(self, lam_fn, mu_fn, name="rates", length=None):
-        self._lam, self._mu = _per_index(lam_fn), _per_index(mu_fn)
-        self.name, self.length = name, length
-
-    @classmethod
-    def _from_builders(cls, lam, mu, name, length=None):
-        rates = cls(None, None, name, length)
-        rates._lam, rates._mu = lam, mu
-        return rates
-
-    def _values(self, build, lo, hi, valid, reject):
-        if lo < 0 or (self.length is not None and hi > self.length):
-            raise DomainError("rates %d..%d requested from %r of length %s"
-                              % (lo, hi - 1, self.name, self.length))
-        return _checked(build, lo, hi, valid, reject)
+    name = "rates"
+    _rules = {
+        "lambda": (lambda values, lo: values > 0.0, lambda n, v, name:
+                   "lambda(%d) = %r must be positive" % (n, v)),
+        "mu": (_mu_valid, lambda n, v, name: "mu(0) must be >= 0, got %r" % v
+               if n == 0 else "mu(%d) = %r must be positive" % (n, v)),
+    }
+    _past_end = "%(label)s(%(n)d) requested from %(name)r of length %(length)d"
 
     def lam_array(self, stop, start=0):
-        return self._values(self._lam, start, stop, lambda v: v > 0.0,
-                            lambda n, v: "lambda(%d) = %r must be positive"
-                            % (n, v))
+        return self._values("lambda", start, stop)
 
     def mu_array(self, stop, start=0):
-        def valid(values):
-            ok = values > 0.0
-            if start == 0 and len(ok):
-                ok[0] = not values[0] < 0.0     # mu(0) = 0 is allowed
-            return ok
-
-        def reject(n, value):
-            if n == 0:
-                return "mu(0) must be >= 0, got %r" % value
-            return "mu(%d) = %r must be positive" % (n, value)
-
-        return self._values(self._mu, start, stop, valid, reject)
+        return self._values("mu", start, stop)
 
     def lam(self, n):
         return float(self.lam_array(n + 1, start=n)[0])
@@ -168,9 +155,10 @@ class BirthDeathRates:
 
     @classmethod
     def from_tables(cls, lam_values, mu_values, name="rates"):
-        return cls._from_builders(_slices(np.array(lam_values, dtype=float)),
-                                  _slices(np.array(mu_values, dtype=float)),
-                                  name, min(len(lam_values), len(mu_values)))
+        return cls.from_builders(_slices(np.array(lam_values, dtype=float)),
+                                 _slices(np.array(mu_values, dtype=float)),
+                                 name=name,
+                                 length=min(len(lam_values), len(mu_values)))
 
 
 class PiWeights:
@@ -271,12 +259,7 @@ def bd_check_theorem_51(rates, n_max):
     """
     N = _diag._checker_size(n_max)
     a = bd_interleaved(rates).a_array(N + 2)
-    terms_c = _diag.negative_part(a[1: N + 2] / a[: N + 1] - 1.0)
-    verdicts = [
-        ConditionVerdict("Thm51.a", *_diag._grade_growth_to_inf(a[: N + 1])),
-        ConditionVerdict("Thm51.b", *_diag._grade_divergent(1.0 / a[: N + 1])),
-        ConditionVerdict("Thm51.c", *_diag._grade_summable(terms_c)),
-    ]
+    verdicts = _diag._grade_slow_growth(a, N, "Thm51")
     conclusion = ("sigma(Q) = (-inf, 0]" if overall_verdict(verdicts) == "pass"
                   else None)
     return verdicts, conclusion
@@ -310,9 +293,9 @@ def parse_rates(text):
         raise DomainError(
             "rates must name one of %s for both lam and mu; got %r"
             % (sorted(_RATE_FAMILIES), rest))
-    return BirthDeathRates._from_builders(
+    return BirthDeathRates.from_builders(
         _RATE_FAMILIES[lam_name][0], _RATE_FAMILIES[mu_name][1],
-        "bd:lam=%s,mu=%s" % (lam_name, mu_name))
+        name="bd:lam=%s,mu=%s" % (lam_name, mu_name))
 
 
 def load_rates_csv(path):

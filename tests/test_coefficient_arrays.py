@@ -491,9 +491,17 @@ def test_negative_array_length_is_a_domain_error():
     seq = instantiate("const")
     for call in (lambda: seq.a_array(-5), lambda: seq.b_array(-1),
                  lambda: square_even(seq).a_array(-2),
-                 lambda: WeightSequence.ones().array(-3)):
+                 lambda: WeightSequence.ones().array(-3),
+                 lambda: seq.a_array(2, start=-1),
+                 lambda: WeightSequence.ones().array(2, start=-1),
+                 lambda: WeightSequence.from_table([1.0, 2.0, 3.0]).array(
+                     2, start=-1),
+                 lambda: WeightSequence.ones()(-2),
+                 lambda: parse_rates("lam=linear,mu=linear").mu_array(
+                     2, start=-1)):
         with pytest.raises(DomainError):
             call()
+    assert WeightSequence.ones()(-1) == 0.0     # the alpha(-1) = 0 convention
 
 
 @pytest.mark.filterwarnings("ignore:pow-shifted is documented")
@@ -552,6 +560,19 @@ def test_table_faults_match_per_index(rows, n, transform, tmp_path):
 def test_rate_faults_match_per_index(lam, mu):
     rates = BirthDeathRates.from_tables(lam, mu)
     ref = RefRates(lam.__getitem__, mu.__getitem__, length=len(lam))
+    # a range past the tables reports an in-range fault first
+    for label, array, ref_at in (("lambda", rates.lam_array, ref.lam),
+                                 ("mu", rates.mu_array, ref.mu)):
+        try:
+            [ref_at(k) for k in range(len(lam))]
+        except DomainError as exc:
+            want = str(exc)
+        else:
+            want = "%s(%d) requested from 'rates' of length %d" % (
+                label, len(lam), len(lam))
+        with pytest.raises(DomainError) as fault:
+            array(len(lam) + 2)
+        assert str(fault.value) == want
     custom = BirthDeathRates(lam.__getitem__, mu.__getitem__)
     for r in (rates, custom):
         pair, pi = bd_to_jacobi(r)
@@ -581,6 +602,20 @@ def test_weight_faults_match_per_index():
     same_fault(lambda: WeightSequence.iterlog_weight(table_seq, 1).array(9),
                lambda: ref_iterlog_weight(ref_family("pow:alpha=400"), 1,
                                           2).array(9))
+    # a custom weight that overflows names alpha, as a pair names a(n)
+    with pytest.raises(DomainError,
+                       match=r"^alpha\(4\) overflows for family 'custom'$"):
+        WeightSequence(lambda n: 10.0 ** (100 * n)).array(9)
+
+
+def test_custom_rate_overflow_names_the_label():
+    overflow = lambda n: 10.0 ** (100 * n)  # noqa: E731
+    for rates, label in ((BirthDeathRates(overflow, float), "lambda"),
+                         (BirthDeathRates(lambda n: 1.0, overflow), "mu")):
+        with pytest.raises(DomainError,
+                           match=r"^%s\(4\) overflows for family 'rates'$"
+                           % label):
+            bd_to_jacobi(rates)[0].a_array(9)
 
 
 def test_theorem_43_nonpositive_level_matches_per_index():
