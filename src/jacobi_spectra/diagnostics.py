@@ -32,7 +32,7 @@ from .errors import DomainError
 from .recurrence import _elementwise, _propagate_rows, _write_columns
 # unused here; perfbench/tracing.py patches diagnostics.propagate
 from .recurrence import propagate  # noqa: F401
-from .sequences import _first_iterlog_valid, _iterlogs
+from .sequences import _first_iterlog_valid, _iterlogs, _power
 
 __all__ = [
     "DiagnosticsTrace",
@@ -388,7 +388,10 @@ def check_theorem_A(seq, alpha, n_max):
     # from n = 1: the n = 0 summand vanishes (alpha(-1) = 0)
     terms_d = np.abs(b[2: N + 2] / a[1: N + 1]
                      - (b[1: N + 1] / a[:N]) * (al[:N] / al[1: N + 1]))
-    terms_e = 1.0 / (a[: N + 1] * al[: N + 1])
+    # a * al may overflow to inf: 1/inf = 0.0 is the graded term, and the
+    # true one is below 5.6e-309
+    with np.errstate(over="ignore"):
+        terms_e = 1.0 / (a[: N + 1] * al[: N + 1])
     ratio_f = (al[:N] / al[1: N + 1]) * (a[1: N + 1] / a[:N])
 
     return [
@@ -408,13 +411,16 @@ def check_corollary_B(seq, n_max):
     N = _checker_size(n_max)
     a, b = seq.a_array(N + 2), seq.b_array(N + 2)
 
-    terms_c = negative_part(
-        _elementwise(lambda r: r ** 2, a[1: N + 2] / a[: N + 1]) - 1.0)
+    terms_c = negative_part(_power(a[1: N + 2] / a[: N + 1], 2.0) - 1.0)
     terms_e = np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1]
+    # a**2 may overflow to inf: 1/inf = 0.0 is the graded term, and the
+    # true one is below 5.6e-309
+    with np.errstate(over="ignore"):
+        terms_b = 1.0 / a[: N + 1] ** 2
 
     return [
         ConditionVerdict("CorB.a", *_grade_growth_to_inf(a[: N + 1])),
-        ConditionVerdict("CorB.b", *_grade_divergent(1.0 / a[: N + 1] ** 2)),
+        ConditionVerdict("CorB.b", *_grade_divergent(terms_b)),
         ConditionVerdict("CorB.c", *_grade_summable(terms_c)),
         ConditionVerdict("CorB.d", *_grade_limsup_below(
             np.abs(b[: N + 1]) / a[: N + 1], 2.0)),

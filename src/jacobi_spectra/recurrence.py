@@ -51,7 +51,9 @@ def _elementwise(fn, *args):
     in the last bit for some inputs; computing those entries with ``math``
     keeps every written number identical to the scalar definitions.
     Arrays are read through memoryviews, which yield Python floats without
-    the list that ``.tolist()`` would build.
+    the list that ``.tolist()`` would build.  Pass a C builtin such as
+    ``math.pow`` or ``math.log`` as fn: a Python lambda or a slot wrapper
+    such as ``float.__pow__`` costs more per entry than the libm call.
     """
     args = [memoryview(v) if isinstance(v, np.ndarray) else v for v in args]
     return np.fromiter(map(fn, *args), float, len(args[0]))

@@ -531,9 +531,20 @@ def _zeros(lo, hi):
 
 
 def _power(base, alpha):
-    """base ** alpha by ``float.__pow__``: numpy's ** differs in the last bit,
-    and libm pow(x, 2) is not always x*x."""
-    return _elementwise(float.__pow__, base, itertools.repeat(alpha))
+    """base ** alpha, entry by entry, with the bits of ``float.__pow__``.
+
+    numpy's ** differs in the last bit, and libm pow(x, 2) is not always
+    x*x.  ``math.pow`` calls the same libm pow as ``float.__pow__`` for the
+    finite, non-negative bases passed here, through a faster C call.  When
+    it raises (ValueError for 0.0 ** -0.5, OverflowError), the entries are
+    recomputed with ``float.__pow__``, which raises today's exception with
+    today's message, e.g. ZeroDivisionError "0.0 cannot be raised to a
+    negative power".
+    """
+    try:
+        return _elementwise(math.pow, base, itertools.repeat(alpha))
+    except (ValueError, OverflowError):
+        return _elementwise(float.__pow__, base, itertools.repeat(alpha))
 
 
 def _factorial_staircase(lo, hi):

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import hashlib
 import json
 import math
 import time
@@ -98,6 +99,23 @@ def test_check_writes_outdir(tmp_path):
     report = json.loads((out / "verdict.json").read_text())
     assert len(report["conditions"]) == 7
     assert (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("theorem, digest", [
+    ("A", "110a562c3158fb4e5ad38c5245826dce9bb8bfe2dde40f7830555ccfd73a7f9a"),
+    ("B", "d7bdbc327016ca3b50d8ca1ada7bc5c4c5610429628cfe6fd3ec5c01490ccd49"),
+])
+def test_check_overflowing_terms_are_silent(theorem, digest, tmp_path, capsys):
+    # a(n) = (n+1)**100: a * alpha (ThmA.e) and a**2 (CorB.b) overflow to
+    # inf, and 1/inf = 0.0 is the term graded, with no numpy warning
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["check", "--theorem", theorem, "--seq", "pow:alpha=100",
+                    "--n", "200", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    verdict = (out / "verdict.json").read_bytes()
+    assert hashlib.sha256(verdict).hexdigest() == digest
 
 
 def test_check_missing_rates_exits_2():
