@@ -537,9 +537,10 @@ def _power(base, alpha):
     x*x.  ``math.pow`` calls the same libm pow as ``float.__pow__`` for the
     finite, non-negative bases passed here, through a faster C call.  When
     it raises (ValueError for 0.0 ** -0.5, OverflowError), the entries are
-    recomputed with ``float.__pow__``, which raises today's exception with
-    today's message, e.g. ZeroDivisionError "0.0 cannot be raised to a
-    negative power".
+    recomputed with ``float.__pow__``, so the fault is raised with the
+    exception and message of Python's **, e.g. ZeroDivisionError "0.0
+    cannot be raised to a negative power", which :func:`_checked` and its
+    callers word into their errors.
     """
     try:
         return _elementwise(math.pow, base, itertools.repeat(alpha))

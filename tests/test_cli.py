@@ -104,7 +104,7 @@ def test_check_writes_outdir(tmp_path):
 @pytest.mark.parametrize("theorem, digest", [
     ("A", "110a562c3158fb4e5ad38c5245826dce9bb8bfe2dde40f7830555ccfd73a7f9a"),
     ("B", "d7bdbc327016ca3b50d8ca1ada7bc5c4c5610429628cfe6fd3ec5c01490ccd49"),
-])
+], ids=["A", "B"])
 def test_check_overflowing_terms_are_silent(theorem, digest, tmp_path, capsys):
     # a(n) = (n+1)**100: a * alpha (ThmA.e) and a**2 (CorB.b) overflow to
     # inf, and 1/inf = 0.0 is the term graded, with no numpy warning
