@@ -10,8 +10,9 @@ with ``git archive`` into a temporary directory; without ``--change`` the
 change is this working tree.  Each pair runs ``perfbench/run.py --trace 0``
 once on each side with the same arguments; the side that runs first
 alternates from pair to pair.  The record goes to
-``BENCH_<yyyymmdd>_<shortrev>.json`` (``shortrev`` is the base rev) and
-holds, per workload:
+``BENCH_<yyyymmdd>_<shortrev>.json`` (``shortrev`` is the base rev) in
+``--out-dir``, which must be a writable directory before the first pair
+runs (exit 2 otherwise).  It holds, per workload:
 
 * the median and quartiles of every end-to-end metric on each side, and
   the pairs the change won (its value better than the base's in that
@@ -33,6 +34,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("gauss-spectrum", "eigvec-trace", "hypothesis-checks")
+
+
+def writable_dir(text):
+    """argparse type: a directory that a file can be created in, checked
+    before any pair runs."""
+    try:
+        with tempfile.TemporaryFile(dir=text):
+            pass
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            "%s is not a writable directory: %s" % (text, exc.strerror))
+    return Path(text)
 
 
 def git(*args):
@@ -117,7 +130,7 @@ def main(argv=None):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--scale", choices=("full", "smoke"), default="full")
-    p.add_argument("--out-dir", default=str(ROOT),
+    p.add_argument("--out-dir", type=writable_dir, default=str(ROOT),
                    help="directory of the BENCH file (default: repo root)")
     args = p.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
@@ -145,7 +158,7 @@ def main(argv=None):
             record.setdefault("fingerprint", runs[0]["base"][1]["fingerprint"])
             record["workloads"][workload] = compare(runs, metrics)
     day = datetime.date.today().strftime("%Y%m%d")
-    path = Path(args.out_dir) / ("BENCH_%s_%s.json" % (day, base_rev[:7]))
+    path = args.out_dir / ("BENCH_%s_%s.json" % (day, base_rev[:7]))
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(path)
     return 0

@@ -148,17 +148,25 @@ def cmd_analyze(args):
     outdir = _ensure_outdir(args.out or ".")
     alpha = _resolve_alpha(args.alpha, seq)
     for lam in lams:
-        init = _resolve_init(args.init, seq, lam)
-        tag = ("%g" % lam).replace("-", "m").replace(".", "p")
-        # one propagation per lam: the eigenvector trace is written from
-        # the states the diagnostics were computed from
-        trace = diagnostics.s_sequence(seq, alpha, lam, init, args.n)
-        recurrence.write_trace_csv(
-            os.path.join(outdir, "eigvec_lambda_%s.csv" % tag), trace.states)
-        diagnostics.write_trace_csv(
-            os.path.join(outdir, "diagnostics_lambda_%s.csv" % tag), trace)
+        _analyze_lambda(seq, alpha, lam, args, outdir)
     _write_config(outdir, cfg)
     return EXIT_OK
+
+
+def _analyze_lambda(seq, alpha, lam, args, outdir):
+    """Compute and write the two traces of one lam.
+
+    One propagation per lam: the eigenvector trace is written from the
+    states the diagnostics were computed from.  The trace is local, so it
+    is freed before the next lam's is computed.
+    """
+    init = _resolve_init(args.init, seq, lam)
+    tag = ("%g" % lam).replace("-", "m").replace(".", "p")
+    trace = diagnostics.s_sequence(seq, alpha, lam, init, args.n)
+    recurrence.write_trace_csv(
+        os.path.join(outdir, "eigvec_lambda_%s.csv" % tag), trace.states)
+    diagnostics.write_trace_csv(
+        os.path.join(outdir, "diagnostics_lambda_%s.csv" % tag), trace)
 
 
 def cmd_check(args):

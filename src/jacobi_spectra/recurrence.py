@@ -18,7 +18,8 @@ consecutive entries, so nothing is lost.  Exact zeros (e.g. odd-index
 polynomial values at lam = 0 for symmetric matrices) are representable:
 the corresponding coordinate is exactly 0.0.  The kernel ``_propagate_rows``
 is the one step loop: :func:`propagate`, :func:`poly_eval` and
-``diagnostics.s_sequence`` all read its rows (x, y, logscale).
+``diagnostics.s_sequence`` all read its rows (x, y, logscale).  It fills a
+preallocated (N+1, 3) array step by step, so its peak memory is its result.
 """
 
 import math
@@ -139,7 +140,10 @@ def _propagate_rows(a, b, lam, u0, u1):
     r = math.hypot(u0, u1)
     x, y = u0 / r, u1 / r
     logscale = math.log(r)
-    rows = [x, y, logscale]
+    rows = np.empty((len(a), 3))
+    # the columns as memoryviews: each step stores three floats in place
+    xs, ys, logs = map(memoryview, rows.T)
+    xs[0], ys[0], logs[0] = x, y, logscale
     try:
         for n in range(1, len(a)):
             # a(n) u(n+1) = (lam - b(n)) u(n) - a(n-1) u(n-1), scale-free
@@ -149,13 +153,12 @@ def _propagate_rows(a, b, lam, u0, u1):
             # != 0, since (x, y) != 0; only that quotient's underflow gives 0
             x, y = y / r, y_new / r
             logscale += math.log(r)
-            rows += x, y, logscale
+            xs[n], ys[n], logs[n] = x, y, logscale
     except ZeroDivisionError:
         raise DomainError(
             "propagation underflows at n = %d: a(%d)/a(%d) = %r/%r rounds to "
             "0, so (u(%d), u(%d)) is (0, 0) relative to u(%d)"
             % (n, n - 1, n, a[n - 1], a[n], n, n + 1, n - 1)) from None
-    rows = np.array(rows).reshape(-1, 3)
     # a finite pair stays finite unless one step's ratio overflows: then
     # r is inf and every later logscale inf or nan
     if not math.isfinite(logscale) and math.isfinite(rows[0, 2]):

@@ -1,4 +1,5 @@
-"""Smoke test of ``scripts/bench_pairs.py``: one pair, same rev on both sides."""
+"""Tests of ``scripts/bench_pairs.py``: its ``--out-dir`` check, and a smoke
+run of one pair with the same rev on both sides."""
 
 import json
 import subprocess
@@ -42,3 +43,20 @@ def test_one_pair_of_the_same_rev_records_equal_outputs(tmp_path):
     assert result["failed"] == {"base": [0], "change": [0]}
     assert result["oracles_equal"] and result["oracles"]["base"]
     assert result["digests_equal"] and all(result["digests_equal"].values())
+
+
+@pytest.mark.parametrize("out_dir", ["missing", "file"])
+def test_unwritable_out_dir_exits_2_before_any_pair(out_dir, tmp_path):
+    (tmp_path / "file").write_text("")
+    # a base rev that git cannot resolve: exit 2, not git's failure, shows
+    # that the directory is checked before any rev is exported or run
+    proc = subprocess.run(
+        [sys.executable, "scripts/bench_pairs.py", "--base", "no-such-rev",
+         "--seed", "3", "--pairs", "1", "--out-dir", str(tmp_path / out_dir)],
+        cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith(
+        "is not a writable directory: %s" % {
+            "missing": "No such file or directory",
+            "file": "Not a directory"}[out_dir])
+    assert list(tmp_path.iterdir()) == [tmp_path / "file"]

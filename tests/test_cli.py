@@ -20,11 +20,14 @@ def run(args):
 # --- analyze ---------------------------------------------------------------
 
 
-def test_analyze_writes_traces_and_config(tmp_path):
+def test_analyze_writes_traces_and_config(tmp_path, capsys):
     out = tmp_path / "run"
-    code = run(["analyze", "--seq", "pow:alpha=0.5", "--lambda", "0.5,1.5",
-                "--n", "100", "--out", str(out)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["analyze", "--seq", "pow:alpha=0.5", "--lambda",
+                    "0.5,1.5", "--n", "100", "--out", str(out)])
     assert code == 0
+    assert capsys.readouterr().err == ""
     names = {p.name for p in out.iterdir()}
     assert "config.json" in names
     assert "eigvec_lambda_0p5.csv" in names
@@ -179,7 +182,25 @@ TABLES = {
     "rates_repeated": "0,1,0\n1,2,1\n1,3,2\n2,4,3\n",
     # a cell past the csv module's field size limit
     "big_field": '0,"' + "1" * 200000 + "\n",
+    # a(3)/a(2) = 1e-200: Shat(3)/Shat(2) is about 1e400
+    "drop": "".join("%d,%s,0\n" % (n, 1 if n < 3 else 1e-200)
+                    for n in range(60)),
+    # a(1)/a(0) = 1e200, whose square is beyond binary64
+    "huge_ratio": "0,1e-100,0\n1,1e100,0\n"
+                  + "".join("%d,%d,0\n" % (n, n) for n in range(2, 400)),
 }
+
+
+def table_paths(tmp_path):
+    """Paths of the TABLES files, written to tmp_path, plus a missing file,
+    a directory and a file that is not UTF-8."""
+    paths = {"missing": str(tmp_path / "missing.csv"),
+             "directory": str(tmp_path), "binary": str(tmp_path / "bin.csv")}
+    (tmp_path / "bin.csv").write_bytes(b"0,1\n\xff\xfe,2\n")  # not UTF-8
+    for name, text in TABLES.items():
+        paths[name] = str(tmp_path / (name + ".csv"))
+        (tmp_path / (name + ".csv")).write_text(text)
+    return paths
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -267,19 +288,58 @@ TABLES = {
       "--n", "200"], 2),
     (["spectrum", "--seq", "paired:eps=1,inner=pow,alpha=1,alpha=2",
       "--size", "5"], 2),
+    # a(n) alpha(n) = (n+1)**200 overflows from n = 34 on
+    (["analyze", "--seq", "pow:alpha=100", "--n", "50"], 3),
+    (["analyze", "--seq", "table:{drop}", "--n", "50"], 3),
 ])
 def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
-    paths = {"missing": str(tmp_path / "missing.csv"),
-             "directory": str(tmp_path), "binary": str(tmp_path / "bin.csv")}
-    (tmp_path / "bin.csv").write_bytes(b"0,1\n\xff\xfe,2\n")  # not UTF-8
-    for name, text in TABLES.items():
-        paths[name] = str(tmp_path / (name + ".csv"))
-        (tmp_path / (name + ".csv")).write_text(text)
-    argv = [a.format(**paths) for a in argv]
-    assert run(argv + ["--out", str(tmp_path / "out")]) == code
+    argv = [a.format(**table_paths(tmp_path)) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert list((tmp_path / "out").glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("seq, message", [
+    ("pow:alpha=100", "diagnostics overflow at n = 34: a(n) alpha(n) is inf, "
+     "with a(33) = 1.4056969554982675e+153, a(34) = 2.5515520672986852e+154, "
+     "alpha(33) = 1.4056969554982675e+153, alpha(34) = "
+     "2.5515520672986852e+154 and lam - b(34) = 0.0"),
+    ("table:{drop}", "diagnostics overflow at n = 2: Shat(n+1)/Shat(n) is "
+     "beyond binary64"),
+])
+def test_analyze_overflowing_diagnostics_name_n(seq, message, tmp_path,
+                                                capsys):
+    seq = seq.format(**table_paths(tmp_path))
+    assert run(["analyze", "--seq", seq, "--n", "50",
+                "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: " + message]
+
+
+@pytest.mark.parametrize("argv, verdicts", [
+    # CorB.c squares only ratios below 1: a(1)/a(0) = 1e200 gives the term 0
+    (["check", "--theorem", "B", "--seq", "table:{huge_ratio}", "--n", "200"],
+     {"CorB.a": "pass", "CorB.b": "fail", "CorB.c": "pass", "CorB.d": "pass",
+      "CorB.e": "pass"}),
+    # the last n before a(n) alpha(n) overflows
+    (["analyze", "--seq", "pow:alpha=100", "--n", "33"], None),
+])
+def test_extreme_input_exits_0_silently(argv, verdicts, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [a.format(**table_paths(tmp_path)) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    if verdicts:
+        report = json.loads((out / "verdict.json").read_text())
+        assert {c["condition"]: c["verdict"]
+                for c in report["conditions"]} == verdicts
+    else:
+        assert len((out / "diagnostics_lambda_0.csv").read_text()
+                   .splitlines()) == 34
 
 
 @pytest.mark.parametrize("argv", [

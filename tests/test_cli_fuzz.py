@@ -3,7 +3,8 @@
 For every input, ``cli.main`` must finish within a wall-time bound with
 exit code 0, 2 or 3, and print no traceback: argparse usage errors exit 2
 through ``SystemExit``, and any other exception escaping ``main`` fails
-the test.  Sizes stay small (``--n`` <= 300, ``--size`` <= 50) and the
+the test.  A numpy ``RuntimeWarning`` is turned into such an exception,
+and a success exit writes nothing to stderr.  Sizes stay small (``--n`` <= 300, ``--size`` <= 50) and the
 examples are derandomized, so the run is deterministic and takes seconds.
 """
 
@@ -132,9 +133,8 @@ def run_cli(argv):
     return code, err.getvalue(), time.perf_counter() - start
 
 
-# extreme coefficients overflow in numpy on purpose; those warnings are
-# part of the contract's allowed output, a traceback is not
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# a numpy warning is an error: no input may make one, on any exit
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=st.one_of(ANALYZE, CHECK, SPECTRUM, TRANSFORM))
@@ -146,11 +146,10 @@ def test_cli_contract_holds_for_generated_input(argv):
     assert seconds < WALL_BOUND_S, (argv, seconds)
 
 
-# spectrum and transform write nothing to stderr on success; analyze and
-# check A can still overflow in numpy on extreme coefficients (above)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(argv=st.one_of(SPECTRUM, TRANSFORM))
+@given(argv=st.one_of(ANALYZE, CHECK, SPECTRUM, TRANSFORM))
 def test_success_exit_writes_nothing_to_stderr(argv):
     with tempfile.TemporaryDirectory() as out:
         code, err, _ = run_cli(argv + ["--out", out])

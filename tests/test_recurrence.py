@@ -1,6 +1,7 @@
 """Tests for the log-scaled three-term recurrence machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 from jacobi_spectra import (
     DomainError,
     EigvecInit,
+    cli,
     instantiate,
     l2_partial_sums,
     poly_eval,
     poly_init,
     propagate,
 )
-from jacobi_spectra.recurrence import log_l2_partial_sums, write_trace_csv
+from jacobi_spectra.recurrence import (_propagate_rows, log_l2_partial_sums,
+                                       write_trace_csv)
 from jacobi_spectra.transforms import flip
 
 CATALOG = [
@@ -77,6 +80,114 @@ def test_chebyshev_closed_form():
     for n in range(41):
         expected = math.sin((n + 1) * theta) / math.sin(theta)
         assert trace.value(n) == pytest.approx(expected, abs=1e-10)
+
+
+# --- the kernel ------------------------------------------------------------
+
+
+def list_rows(a, b, lam, u0, u1):
+    """The kernel as it was before it filled a preallocated array: the same
+    steps, with the rows collected in a list of floats."""
+    a, b = memoryview(a), memoryview(b)
+    u0, u1 = float(u0), float(u1)
+    r = math.hypot(u0, u1)
+    x, y = u0 / r, u1 / r
+    logscale = math.log(r)
+    rows = [x, y, logscale]
+    try:
+        for n in range(1, len(a)):
+            y_new = ((lam - b[n]) * y - a[n - 1] * x) / a[n]
+            r = math.hypot(y, y_new)
+            x, y = y / r, y_new / r
+            logscale += math.log(r)
+            rows += x, y, logscale
+    except ZeroDivisionError:
+        raise DomainError(
+            "propagation underflows at n = %d: a(%d)/a(%d) = %r/%r rounds to "
+            "0, so (u(%d), u(%d)) is (0, 0) relative to u(%d)"
+            % (n, n - 1, n, a[n - 1], a[n], n, n + 1, n - 1)) from None
+    rows = np.array(rows).reshape(-1, 3)
+    if not math.isfinite(logscale) and math.isfinite(rows[0, 2]):
+        n = int(np.argmin(np.isfinite(rows[:, 2])))
+        raise DomainError(
+            "propagation overflows at n = %d: u(%d) is beyond binary64 "
+            "relative to (u(%d), u(%d)), with a(%d) = %r, a(%d) = %r and "
+            "lam - b(%d) = %r"
+            % (n, n + 1, n - 1, n, n - 1, a[n - 1], n, a[n], n, lam - b[n]))
+    return rows
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc traces during fn(*args), above those
+    traced before the call."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("text", [
+    "const", "chihara", "pow:alpha=0.5",
+    "paired:eps=0.01,inner=pow,alpha=1", "iterlog:k=1,m=16"])
+# lam = 0 on the b == 0 families gives exact-zero coordinates
+@pytest.mark.parametrize("lam", [0.0, 0.5, -1.5, 3.0])
+@pytest.mark.parametrize("u0, u1", [(None, None), (1.0, 0.0), (0.6, -0.8),
+                                    (math.nan, 1.0)])
+def test_kernel_matches_list_reference_bitwise(text, lam, u0, u1):
+    seq = instantiate(text)
+    if u0 is None:
+        init = poly_init(seq, lam)
+        u0, u1 = init.u0, init.u1
+    a, b = seq.a_array(2001), seq.b_array(2001)
+    got = _propagate_rows(a, b, lam, u0, u1)
+    want = list_rows(a, b, lam, u0, u1)
+    assert got.shape == want.shape == (2001, 3)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_kernel_rows_have_exact_zeros():
+    # the const family at lam = 0 with p(0) = 1: u(n) = 0 at every odd n
+    rows = _propagate_rows(np.ones(9), np.zeros(9), 0.0, 1.0, 0.0)
+    assert np.array_equal(rows[1::2, 0], np.zeros(4))
+    assert np.all(rows[0::2, 0] != 0.0)
+
+
+@pytest.mark.parametrize("a, lam, fault", [
+    ([1e-300, 1e300, 1.0, 1.0], 0.0, "underflows"),   # a(0)/a(1) rounds to 0
+    ([1e300, 1e-300, 1.0, 1.0], 0.5, "overflows"),    # u(2) passes binary64
+])
+def test_kernel_faults_match_list_reference(a, lam, fault):
+    a, b = np.array(a), np.zeros(len(a))
+    with pytest.raises(DomainError) as want:
+        list_rows(a, b, lam, 1.0, 0.0)
+    with pytest.raises(DomainError) as got:
+        _propagate_rows(a, b, lam, 1.0, 0.0)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("propagation %s at n = 1:" % fault)
+
+
+def test_kernel_peak_memory_is_its_result():
+    seq = instantiate("pow:alpha=0.5")
+    a, b = seq.a_array(100001), seq.b_array(100001)
+    nbytes = 3 * 100001 * 8
+    assert traced_peak(_propagate_rows, a, b, 0.7, 1.0, 0.3) <= 1.25 * nbytes
+
+
+def test_analyze_holds_one_lambda_trace_at_a_time(tmp_path):
+    def analyze(lams):
+        return traced_peak(cli.main, [
+            "analyze", "--seq", "pow:alpha=0.5", "--lambda", lams,
+            "--n", "20000", "--out", str(tmp_path / lams)])
+
+    analyze("0.25")                    # first-call allocations
+    assert analyze("0.5,-1.5") <= analyze("0.5") + 0.5e6
 
 
 # --- normalization and reconstruction --------------------------------------
