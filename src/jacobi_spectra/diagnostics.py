@@ -458,8 +458,8 @@ def check_corollary_B(seq, n_max):
     # a ratio r >= 1, inf included, has no negative part of r**2 - 1:
     # clamped at 1, its square cannot overflow (r > 1.34e154 did)
     with np.errstate(over="ignore"):
-        ratio = np.minimum(a[1: N + 2] / a[: N + 1], 1.0)
-    terms_c = negative_part(_power(ratio, 2.0) - 1.0)
+        terms_c = negative_part(
+            _power(np.minimum(a[1: N + 2] / a[: N + 1], 1.0), 2.0) - 1.0)
     terms_e = np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1]
     # a**2 may overflow to inf: 1/inf = 0.0 is the graded term, and the
     # true one is below 5.6e-309

@@ -152,13 +152,6 @@ def test_kernel_matches_list_reference_bitwise(text, lam, u0, u1):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_kernel_rows_have_exact_zeros():
-    # the const family at lam = 0 with p(0) = 1: u(n) = 0 at every odd n
-    rows = _propagate_rows(np.ones(9), np.zeros(9), 0.0, 1.0, 0.0)
-    assert np.array_equal(rows[1::2, 0], np.zeros(4))
-    assert np.all(rows[0::2, 0] != 0.0)
-
-
 @pytest.mark.parametrize("a, lam, fault", [
     ([1e-300, 1e300, 1.0, 1.0], 0.0, "underflows"),   # a(0)/a(1) rounds to 0
     ([1e300, 1e-300, 1.0, 1.0], 0.5, "overflows"),    # u(2) passes binary64
