@@ -147,14 +147,21 @@ def cmd_analyze(args):
                     out=args.out)
     outdir = _ensure_outdir(args.out or ".")
     alpha = _resolve_alpha(args.alpha, seq)
-    for lam in lams:
-        _analyze_lambda(seq, alpha, lam, args, outdir)
+    written = set()
+    try:
+        for lam in lams:
+            written.update(_analyze_lambda(seq, alpha, lam, args, outdir))
+    except JacobiError:
+        # an error exit leaves no csv: drop the earlier lams' files
+        for path in written:
+            os.remove(path)
+        raise
     _write_config(outdir, cfg)
     return EXIT_OK
 
 
 def _analyze_lambda(seq, alpha, lam, args, outdir):
-    """Compute and write the two traces of one lam.
+    """Compute and write the two traces of one lam; return their paths.
 
     One propagation per lam: the eigenvector trace is written from the
     states the diagnostics were computed from.  The trace is local, so it
@@ -163,10 +170,11 @@ def _analyze_lambda(seq, alpha, lam, args, outdir):
     init = _resolve_init(args.init, seq, lam)
     tag = ("%g" % lam).replace("-", "m").replace(".", "p")
     trace = diagnostics.s_sequence(seq, alpha, lam, init, args.n)
-    recurrence.write_trace_csv(
-        os.path.join(outdir, "eigvec_lambda_%s.csv" % tag), trace.states)
-    diagnostics.write_trace_csv(
-        os.path.join(outdir, "diagnostics_lambda_%s.csv" % tag), trace)
+    eigvec = os.path.join(outdir, "eigvec_lambda_%s.csv" % tag)
+    diag = os.path.join(outdir, "diagnostics_lambda_%s.csv" % tag)
+    recurrence.write_trace_csv(eigvec, trace.states)
+    diagnostics.write_trace_csv(diag, trace)
+    return eigvec, diag
 
 
 def cmd_check(args):

@@ -21,16 +21,22 @@ The theorem checkers grade *numerical evidence* for asymptotic hypotheses
 (summability, divergence, limits).  They cannot prove anything; verdicts
 are pass / fail / inconclusive with the thresholds documented at the
 module constants ``SUMMABLE_DECREASE`` .. ``LIMSUP_MARGIN``.
+
+Float policy of the checkers: a term beyond binary64 is graded as its
+IEEE value, with no numpy warning.  1/inf is 0.0 (the true term is below
+5.6e-309), an overflowing ratio is inf, and inf * 0 is NaN.  Every checker
+body runs under :func:`_checker_arrays`.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .recurrence import (_LOG_HUGE, _elementwise, _propagate_rows,
-                         _write_columns)
+from .recurrence import (_LOG_HUGE, _elementwise, _exp_signed,
+                         _propagate_rows, _write_columns)
 # unused here; perfbench/tracing.py patches diagnostics.propagate
 from .recurrence import propagate  # noqa: F401
 from .sequences import _first_iterlog_valid, _iterlogs, _power
@@ -97,8 +103,7 @@ class DiagnosticsTrace:
 
     def raw_s(self):
         """S(n) itself; overflows to inf where Shat does."""
-        with np.errstate(over="ignore"):
-            return self.s_over_shat * np.exp(self.log_shat)
+        return _exp_signed(self.s_over_shat, self.log_shat)
 
 
 def _w_bounds(a, al, b, lam):
@@ -252,7 +257,7 @@ def liminf_estimate(trace, window):
     raw = trace.raw_s()[sel]
     F = trace.F[sel]
     finite = np.isfinite(F)
-    sum_F_minus = float(np.sum(np.maximum(-F[finite], 0.0)))
+    sum_F_minus = float(np.sum(negative_part(F[finite])))
     return LiminfEstimate(
         window=(n_lo, n_hi),
         tail_min=float(np.min(normalized)),
@@ -389,8 +394,10 @@ def _grade_limit(values, target=None):
     return INCONCLUSIVE, evidence
 
 
-def _grade_limsup_below(values, bound):
-    m = float(np.max(_tail(values)))
+def _grade_b_over_a(a, b, N):
+    """limsup |b(n)|/a(n) < 2 on n = 0..N, graded by its tail maximum."""
+    bound = 2.0
+    m = float(np.max(_tail(np.abs(b[: N + 1]) / a[: N + 1])))
     evidence = {"tail_max": m, "bound": bound}
     if m < bound * (1.0 - LIMSUP_MARGIN):
         return PASS, evidence
@@ -412,68 +419,63 @@ def overall_verdict(verdicts):
 # --- theorem checkers ------------------------------------------------------
 
 
-def _checker_size(n_max):
-    """N of a checker graded on n = 0..N; N >= 100."""
+@contextlib.contextmanager
+def _checker_arrays(seq, n_max, check=lambda N: None):
+    """(N, a(0..N+1), b(0..N+1)) of a checker graded on n = 0..N, N >= 100,
+    under the float policy; ``check(N)`` runs before the first read, so a
+    checker's own argument errors keep their order."""
     if n_max < 100:
         raise DomainError("n_max must be >= 100")
-    return int(n_max)
+    N = int(n_max)
+    check(N)
+    # a new errstate per use: a shared instance nests only on numpy >= 2
+    with np.errstate(all="ignore"):
+        yield N, seq.a_array(N + 2), seq.b_array(N + 2)
 
 
 def check_theorem_A(seq, alpha, n_max):
     """Grade the seven hypotheses of the main continuous-spectrum theorem."""
-    N = _checker_size(n_max)
-    a, b = seq.a_array(N + 2), seq.b_array(N + 2)
-    al = alpha.array(N + 2)
-
-    # terms at n = 1..N-1, needing n-1 and n+1
-    terms_b = negative_part((a[2: N + 1] / a[1:N]) * (al[2: N + 1] / al[1:N])
-                            - (a[1:N] / a[: N - 1]) * (al[: N - 1] / al[1:N]))
-    terms_c = np.abs(a[:N] / a[1: N + 1] - al[:N] / al[1: N + 1]) / a[:N]
-    # from n = 1: the n = 0 summand vanishes (alpha(-1) = 0)
-    terms_d = np.abs(b[2: N + 2] / a[1: N + 1]
-                     - (b[1: N + 1] / a[:N]) * (al[:N] / al[1: N + 1]))
-    # a * al may overflow to inf: 1/inf = 0.0 is the graded term, and the
-    # true one is below 5.6e-309
-    with np.errstate(over="ignore"):
+    with _checker_arrays(seq, n_max) as (N, a, b):
+        al = alpha.array(N + 2)
+        # terms at n = 1..N-1, needing n-1 and n+1
+        terms_b = negative_part(
+            (a[2: N + 1] / a[1:N]) * (al[2: N + 1] / al[1:N])
+            - (a[1:N] / a[: N - 1]) * (al[: N - 1] / al[1:N]))
+        terms_c = np.abs(a[:N] / a[1: N + 1] - al[:N] / al[1: N + 1]) / a[:N]
+        # from n = 1: the n = 0 summand vanishes (alpha(-1) = 0)
+        terms_d = np.abs(b[2: N + 2] / a[1: N + 1]
+                         - (b[1: N + 1] / a[:N]) * (al[:N] / al[1: N + 1]))
         terms_e = 1.0 / (a[: N + 1] * al[: N + 1])
-    ratio_f = (al[:N] / al[1: N + 1]) * (a[1: N + 1] / a[:N])
+        ratio_f = (al[:N] / al[1: N + 1]) * (a[1: N + 1] / a[:N])
 
-    return [
-        ConditionVerdict("ThmA.a", *_grade_growth_to_inf(a[: N + 1])),
-        ConditionVerdict("ThmA.b", *_grade_summable(terms_b, first=1)),
-        ConditionVerdict("ThmA.c", *_grade_summable(terms_c, first=1)),
-        ConditionVerdict("ThmA.d", *_grade_summable(terms_d, first=1)),
-        ConditionVerdict("ThmA.e", *_grade_divergent(terms_e)),
-        ConditionVerdict("ThmA.f", *_grade_limit(ratio_f, target=1.0)),
-        ConditionVerdict("ThmA.g", *_grade_limsup_below(
-            np.abs(b[: N + 1]) / a[: N + 1], 2.0)),
-    ]
+        return [
+            ConditionVerdict("ThmA.a", *_grade_growth_to_inf(a[: N + 1])),
+            ConditionVerdict("ThmA.b", *_grade_summable(terms_b, first=1)),
+            ConditionVerdict("ThmA.c", *_grade_summable(terms_c, first=1)),
+            ConditionVerdict("ThmA.d", *_grade_summable(terms_d, first=1)),
+            ConditionVerdict("ThmA.e", *_grade_divergent(terms_e)),
+            ConditionVerdict("ThmA.f", *_grade_limit(ratio_f, target=1.0)),
+            ConditionVerdict("ThmA.g", *_grade_b_over_a(a, b, N)),
+        ]
 
 
 def check_corollary_B(seq, n_max):
     """The alpha = a specialization: five directly checkable hypotheses."""
-    N = _checker_size(n_max)
-    a, b = seq.a_array(N + 2), seq.b_array(N + 2)
-
-    # a ratio r >= 1, inf included, has no negative part of r**2 - 1:
-    # clamped at 1, its square cannot overflow (r > 1.34e154 did)
-    with np.errstate(over="ignore"):
+    with _checker_arrays(seq, n_max) as (N, a, b):
+        # a ratio r >= 1, inf included, has no negative part of r**2 - 1:
+        # clamped at 1, its square cannot overflow (r > 1.34e154 did)
         terms_c = negative_part(
             _power(np.minimum(a[1: N + 2] / a[: N + 1], 1.0), 2.0) - 1.0)
-    terms_e = np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1]
-    # a**2 may overflow to inf: 1/inf = 0.0 is the graded term, and the
-    # true one is below 5.6e-309
-    with np.errstate(over="ignore"):
+        terms_e = np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1]
         terms_b = 1.0 / a[: N + 1] ** 2
 
-    return [
-        ConditionVerdict("CorB.a", *_grade_growth_to_inf(a[: N + 1])),
-        ConditionVerdict("CorB.b", *_grade_divergent(terms_b)),
-        ConditionVerdict("CorB.c", *_grade_summable(terms_c)),
-        ConditionVerdict("CorB.d", *_grade_limsup_below(
-            np.abs(b[: N + 1]) / a[: N + 1], 2.0)),
-        ConditionVerdict("CorB.e", *_grade_summable(terms_e)),
-    ]
+        return [
+            ConditionVerdict("CorB.a", *_grade_growth_to_inf(a[: N + 1])),
+            ConditionVerdict("CorB.b", *_grade_divergent(terms_b)),
+            ConditionVerdict("CorB.c", *_grade_summable(terms_c)),
+            ConditionVerdict("CorB.d", *_grade_b_over_a(a, b, N)),
+            ConditionVerdict("CorB.e", *_grade_summable(terms_e)),
+        ]
 
 
 @dataclass
@@ -502,27 +504,24 @@ def _grade_slow_growth(a, N, prefix):
 
 def check_corollary_C(seq, n_max):
     """Essential-spectrum half-line evidence, plus the one-quarter ratio."""
-    N = _checker_size(n_max)
-    a, b = seq.a_array(N + 2), seq.b_array(N + 2)
+    with _checker_arrays(seq, n_max) as (N, a, b):
+        m_terms = a[:N] - b[1: N + 1] + a[1: N + 1]     # n = 1..N
+        verdicts = _grade_slow_growth(a, N, "CorC") + [
+            ConditionVerdict("CorC.d", *_grade_limit(m_terms))]
 
-    m_terms = a[:N] - b[1: N + 1] + a[1: N + 1]     # n = 1..N
-    verdicts = _grade_slow_growth(a, N, "CorC") + [
-        ConditionVerdict("CorC.d", *_grade_limit(m_terms))]
-
-    denom = b[: N + 1] * b[1: N + 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = b[: N + 1] * b[1: N + 2]
         ratio = np.where(denom > 0.0, a[: N + 1] ** 2 / denom, np.nan)
-    valid = np.isfinite(ratio)
-    ratio_tail = float(ratio[valid][-1]) if np.any(valid) else float("nan")
-    limit = verdicts[-1].evidence
-    return CorollaryCResult(
-        verdicts=verdicts,
-        M=limit["estimate"],
-        M_dispersion=limit["tail_oscillation"],
-        ratio=ratio,
-        ratio_tail=ratio_tail,
-        undefined_ratios=int(np.sum(~valid)),
-    )
+        valid = np.isfinite(ratio)
+        ratio_tail = float(ratio[valid][-1]) if valid.any() else math.nan
+        limit = verdicts[-1].evidence
+        return CorollaryCResult(
+            verdicts=verdicts,
+            M=limit["estimate"],
+            M_dispersion=limit["tail_oscillation"],
+            ratio=ratio,
+            ratio_tail=ratio_tail,
+            undefined_ratios=int(np.sum(~valid)),
+        )
 
 
 def check_theorem_42(seq, n_max):
@@ -532,32 +531,29 @@ def check_theorem_42(seq, n_max):
     a limsup for uniformity with the main theorem and record that choice in
     the evidence.
     """
-    N = _checker_size(n_max)
-    a, b = seq.a_array(N + 2), seq.b_array(N + 2)
+    with _checker_arrays(seq, n_max) as (N, a, b):
+        bv_sets = {
+            "a_ratio": a[: N + 1] / a[1: N + 2],
+            "inv_a": 1.0 / a[: N + 2],
+            "b_over_a": b[: N + 2] / a[: N + 2],
+        }
+        # bounded variation: the terms |v(n) - v(n-1)| from n = 1
+        bv_grades = {k: _grade_summable(np.abs(np.diff(v)), first=1)
+                     for k, v in bv_sets.items()}
+        bv_verdict = overall_verdict(
+            [ConditionVerdict(k, *g) for k, g in bv_grades.items()])
 
-    bv_sets = {
-        "a_ratio": a[: N + 1] / a[1: N + 2],
-        "inv_a": 1.0 / a[: N + 2],
-        "b_over_a": b[: N + 2] / a[: N + 2],
-    }
-    # bounded variation: the terms |v(n) - v(n-1)| from n = 1
-    bv_grades = {k: _grade_summable(np.abs(np.diff(v)), first=1)
-                 for k, v in bv_sets.items()}
-    bv_verdict = overall_verdict(
-        [ConditionVerdict(k, *g) for k, g in bv_grades.items()])
+        d_verdict, d_evidence = _grade_b_over_a(a, b, N)
+        d_evidence["note"] = "limsup graded where the source states a limit"
 
-    d_verdict, d_evidence = _grade_limsup_below(np.abs(b[: N + 1]) / a[: N + 1],
-                                                2.0)
-    d_evidence["note"] = "limsup graded where the source states a limit"
-
-    return [
-        ConditionVerdict("Thm42.a", *_grade_growth_to_inf(a[: N + 1])),
-        ConditionVerdict("Thm42.b", *_grade_divergent(1.0 / a[: N + 1])),
-        ConditionVerdict("Thm42.c", bv_verdict,
-                         {k: {"verdict": g[0], **g[1]}
-                          for k, g in bv_grades.items()}),
-        ConditionVerdict("Thm42.d", d_verdict, d_evidence),
-    ]
+        return [
+            ConditionVerdict("Thm42.a", *_grade_growth_to_inf(a[: N + 1])),
+            ConditionVerdict("Thm42.b", *_grade_divergent(1.0 / a[: N + 1])),
+            ConditionVerdict("Thm42.c", bv_verdict,
+                             {k: {"verdict": g[0], **g[1]}
+                              for k, g in bv_grades.items()}),
+            ConditionVerdict("Thm42.d", d_verdict, d_evidence),
+        ]
 
 
 def check_theorem_43(seq, K, n_max, n_start=None):
@@ -567,37 +563,39 @@ def check_theorem_43(seq, K, n_max, n_start=None):
     a(n)/a(n-1) outside [1 - c, 1 + 1/n + sum_j 1/(n g_j(n)) + c] and its
     summability graded.
     """
-    N = _checker_size(n_max)
-    K = int(K)
-    if n_start is None:
-        n_start = max(2, _first_iterlog_valid(K))
-    if n_start > N:
-        raise DomainError("the K=%d envelope starts at n=%d, past n_max=%d"
-                          % (K, n_start, N))
-    a, b = seq.a_array(N + 2), seq.b_array(N + 2)
+    def check_start(N):
+        nonlocal K, n_start
+        K = int(K)
+        if n_start is None:
+            n_start = max(2, _first_iterlog_valid(K))
+        if n_start > N:
+            raise DomainError("the K=%d envelope starts at n=%d, past n_max=%d"
+                              % (K, n_start, N))
 
-    ns_b = np.arange(n_start, N + 1)
-    ratio = a[n_start: N + 1] / a[n_start - 1: N]
-    envelope = 1.0 + 1.0 / ns_b
-    for g_j in _iterlogs(ns_b.astype(float), K)[1:]:
-        envelope += 1.0 / (ns_b * g_j)
-    slack = np.maximum(0.0, np.maximum(1.0 - ratio, ratio - envelope))
+    with _checker_arrays(seq, n_max, check_start) as (N, a, b):
+        ns_b = np.arange(n_start, N + 1)
+        ratio = a[n_start: N + 1] / a[n_start - 1: N]
+        envelope = 1.0 + 1.0 / ns_b
+        for g_j in _iterlogs(ns_b.astype(float), K)[1:]:
+            envelope += 1.0 / (ns_b * g_j)
+        slack = np.maximum(0.0, np.maximum(1.0 - ratio, ratio - envelope))
 
-    terms_bv = np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1]
-    graded_bounded = _grade_bounded(b[: N + 1])
-    graded_bv = _grade_summable(terms_bv)
-    c_verdict = overall_verdict([ConditionVerdict("bounded", *graded_bounded),
-                                 ConditionVerdict("bv", *graded_bv)])
+        terms_bv = np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1]
+        c_grades = {"bounded": _grade_bounded(b[: N + 1]),
+                    "bv": _grade_summable(terms_bv)}
+        c_verdict = overall_verdict(
+            [ConditionVerdict(k, *g) for k, g in c_grades.items()])
 
-    terms_d = 1.0 / (np.arange(1, N + 1) * a[1: N + 1])
+        terms_d = 1.0 / (np.arange(1, N + 1) * a[1: N + 1])
 
-    return [
-        ConditionVerdict("Thm43.a", *_grade_growth_to_inf(a[: N + 1])),
-        ConditionVerdict("Thm43.b", *_grade_summable(slack, first=n_start)),
-        ConditionVerdict("Thm43.c", c_verdict,
-                         {"bounded": graded_bounded[1], "bv": graded_bv[1]}),
-        ConditionVerdict("Thm43.d", *_grade_summable(terms_d, first=1)),
-    ]
+        return [
+            ConditionVerdict("Thm43.a", *_grade_growth_to_inf(a[: N + 1])),
+            ConditionVerdict("Thm43.b",
+                             *_grade_summable(slack, first=n_start)),
+            ConditionVerdict("Thm43.c", c_verdict,
+                             {k: g[1] for k, g in c_grades.items()}),
+            ConditionVerdict("Thm43.d", *_grade_summable(terms_d, first=1)),
+        ]
 
 
 # --- export ----------------------------------------------------------------

@@ -60,20 +60,27 @@ def _elementwise(fn, *args):
     return np.fromiter(map(fn, *args), float, len(args[0]))
 
 
-def _sign(x):
-    """Sign of u = x exp(logscale): 0 at an exact zero, and -1 for NaN x."""
-    return np.where(x > 0.0, 1, np.where(x == 0.0, 0, -1))
-
-
-def _log_abs(x, logscale):
-    """log|u| for u = x exp(logscale), elementwise; -inf at an exact zero."""
+def _sign_log_abs(x, logscale):
+    """(sign, log|u|) of u = x exp(logscale), elementwise: sign 0 and log
+    -inf at an exact zero, and sign -1 for NaN x."""
     abs_x = np.abs(x)
     zero = abs_x == 0.0
     abs_x[zero] = 1.0
-    out = _elementwise(math.log, abs_x)
-    out += logscale
-    out[zero] = -np.inf
-    return out
+    log_abs = _elementwise(math.log, abs_x)
+    log_abs += logscale
+    log_abs[zero] = -np.inf
+    return np.where(x > 0.0, 1, np.where(zero, 0, -1)), log_abs
+
+
+def _exp_signed(sign, log_abs):
+    """sign * exp(log_abs), entrywise by ``math.exp``: 0.0 where sign is 0
+    and +-inf past binary64, with no numpy warning."""
+    sign, log_abs = np.broadcast_arrays(sign, log_abs)
+    live = sign != 0
+    u = np.where(live & (log_abs > _LOG_HUGE), np.inf, 0.0)
+    finite = live & (u == 0.0)
+    u[finite] = _elementwise(math.exp, log_abs[finite])
+    return sign * u
 
 
 def _write_columns(path, header, *columns, blank=None):
@@ -123,8 +130,8 @@ class PropagationState:
 
     def log_abs_u(self):
         """(sign, log|u(n)|); log is -inf at an exact zero."""
-        x = np.array([self.x])
-        return int(_sign(x)[0]), float(_log_abs(x, self.logscale)[0])
+        sign, log_abs = _sign_log_abs(np.array([self.x]), self.logscale)
+        return int(sign[0]), float(log_abs[0])
 
 
 def poly_init(seq, lam):
@@ -199,13 +206,10 @@ class PolyTrace:
 
     def value(self, n):
         """p(n) as a float; inf with the right sign if not representable."""
-        if self.signs[n] == 0:
-            return 0.0
-        return float(self.signs[n]) * math.exp(min(self.log_abs[n], _LOG_HUGE + 1))
+        return float(_exp_signed(self.signs[n], self.log_abs[n]))
 
     def values(self):
-        return np.where(self.signs == 0, 0.0,
-                        self.signs * np.exp(np.minimum(self.log_abs, _LOG_HUGE + 1)))
+        return _exp_signed(self.signs, self.log_abs)
 
     def is_zero(self, n):
         return self.signs[n] == 0
@@ -218,7 +222,7 @@ def poly_eval(seq, lam, n_max):
     init, m = poly_init(seq, lam), max(n_max, 1) + 1
     x, _, logscale = _propagate_rows(seq.a_array(m), seq.b_array(m), lam,
                                      init.u0, init.u1)[: n_max + 1].T
-    return PolyTrace(lam, _sign(x), _log_abs(x, logscale))
+    return PolyTrace(lam, *_sign_log_abs(x, logscale))
 
 
 def log_l2_partial_sums(log_abs):
@@ -254,11 +258,9 @@ def write_trace_csv(path, states):
     empty otherwise.
     """
     x, logscale = states[:, 0], states[:, 2]
-    sign = _sign(x)
-    log_abs = _log_abs(x, logscale)
+    sign, log_abs = _sign_log_abs(x, logscale)
     shown = (sign != 0) & (np.abs(log_abs) < _LOG_HUGE)
-    u = np.zeros(len(x))
-    u[shown] = sign[shown] * _elementwise(math.exp, log_abs[shown])
+    u = _exp_signed(np.where(shown, sign, 0), log_abs)
     _write_columns(path, ["n", "sign_u", "log_abs_u", "u_if_representable"],
                    np.arange(len(x)), sign, log_abs, u,
                    blank=(sign != 0) & ~shown)

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError
 from . import diagnostics as _diag
 from .diagnostics import overall_verdict
-from .recurrence import _elementwise
+from .recurrence import _elementwise, _exp_signed
 from .sequences import (SequencePair, _Sequences, _arange, _checked, _items,
                         _power, _read_table, _slices, _zeros)
 
@@ -185,11 +185,11 @@ class PiWeights:
         return log_pi[n]
 
     def pi(self, n):
-        return math.exp(self.log_pi(n))
+        return _exp_signed(1.0, self.log_pi(n))
 
     def sqrt_ratio(self, n):
         """sqrt(pi(n+1)/pi(n)), the entry ratio of the similarity diagonal."""
-        return math.exp(0.5 * (self.log_pi(n + 1) - self.log_pi(n)))
+        return _exp_signed(1.0, 0.5 * (self.log_pi(n + 1) - self.log_pi(n)))
 
 
 def bd_to_jacobi(rates):
@@ -257,9 +257,8 @@ def bd_check_theorem_51(rates, n_max):
     On an overall pass the predicted conclusion is that the generator is
     self-adjoint with no eigenvalues and spectrum (-inf, 0].
     """
-    N = _diag._checker_size(n_max)
-    a = bd_interleaved(rates).a_array(N + 2)
-    verdicts = _diag._grade_slow_growth(a, N, "Thm51")
+    with _diag._checker_arrays(bd_interleaved(rates), n_max) as (N, a, _):
+        verdicts = _diag._grade_slow_growth(a, N, "Thm51")
     conclusion = ("sigma(Q) = (-inf, 0]" if overall_verdict(verdicts) == "pass"
                   else None)
     return verdicts, conclusion

@@ -188,6 +188,9 @@ TABLES = {
     # a(1)/a(0) = 1e200, whose square is beyond binary64
     "huge_ratio": "0,1e-100,0\n1,1e100,0\n"
                   + "".join("%d,%d,0\n" % (n, n) for n in range(2, 400)),
+    # a(1)/a(0) = 1e600 overflows and a(0)**2 = 1e-600 underflows to 0
+    "tiny": "0,1e-300,0\n1,1e300,0\n"
+            + "".join("%d,%d,0\n" % (n, n) for n in range(2, 400)),
 }
 
 
@@ -325,6 +328,21 @@ def test_analyze_overflowing_diagnostics_name_n(seq, message, tmp_path,
       "CorB.e": "pass"}),
     # the last n before a(n) alpha(n) overflows
     (["analyze", "--seq", "pow:alpha=100", "--n", "33"], None),
+    # graded as IEEE values: the ratio as inf and 1/a(0)**2 as 1/0 = inf
+    (["check", "--theorem", "A", "--seq", "table:{tiny}", "--n", "200"],
+     {"ThmA.a": "pass", "ThmA.b": "pass", "ThmA.c": "pass", "ThmA.d": "pass",
+      "ThmA.e": "fail", "ThmA.f": "pass", "ThmA.g": "pass"}),
+    (["check", "--theorem", "B", "--seq", "table:{tiny}", "--n", "200"],
+     {"CorB.a": "pass", "CorB.b": "fail", "CorB.c": "pass", "CorB.d": "pass",
+      "CorB.e": "pass"}),
+    (["check", "--theorem", "C", "--seq", "table:{tiny}", "--n", "200"],
+     {"CorC.a": "pass", "CorC.b": "pass", "CorC.c": "pass", "CorC.d": "fail"}),
+    (["check", "--theorem", "42", "--seq", "table:{tiny}", "--n", "200"],
+     {"Thm42.a": "pass", "Thm42.b": "pass", "Thm42.c": "pass",
+      "Thm42.d": "pass"}),
+    (["check", "--theorem", "43", "--seq", "table:{tiny}", "--n", "200"],
+     {"Thm43.a": "pass", "Thm43.b": "pass", "Thm43.c": "pass",
+      "Thm43.d": "pass"}),
 ])
 def test_extreme_input_exits_0_silently(argv, verdicts, tmp_path, capsys):
     out = tmp_path / "out"
@@ -462,6 +480,9 @@ def test_analyze_overflowing_step_exits_3(tmp_path, capsys):
     pytest.param(["check", "--theorem", "B", "--seq",
                   "iterlog:k=1" + ZEROS + ",m=16", "--n", "200"], 2,
                  id="check-iterlog-huge-k"),
+    # lam = 0.5 is written before lam = 1e308 overflows
+    pytest.param(["analyze", "--seq", "pow:alpha=100", "--n", "33",
+                  "--lambda", "0.5,1e308"], 3, id="analyze-later-lambda-fails"),
 ])
 def test_error_exit_leaves_no_csv(argv, code, tmp_path):
     rates = tmp_path / "rates.csv"

@@ -31,6 +31,9 @@ TABLES = {
                                       for n in range(400)),
     "rates_short": "0,1,0\n1,2\n",
     "gap": "0,1\n1,2\n3,5\n",
+    # a(1)/a(0) = 1e600 overflows and a(0)**2 = 1e-600 underflows to 0
+    "tiny": "0,1e-300,0\n1,1e300,0\n"
+            + "".join("%d,%d,0\n" % (n, n) for n in range(2, 400)),
 }
 for _name, _text in TABLES.items():
     with open(os.path.join(FIXTURES.name, _name + ".csv"), "w") as _fh:

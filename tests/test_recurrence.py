@@ -82,6 +82,25 @@ def test_chebyshev_closed_form():
         assert trace.value(n) == pytest.approx(expected, abs=1e-10)
 
 
+# --- values from log magnitudes --------------------------------------------
+
+
+def test_value_past_binary64_is_inf():
+    # const at lam = 3: p(n) grows like 2.618**n, past binary64 near n = 740
+    trace = poly_eval(instantiate("const"), 3.0, 1000)
+    assert trace.value(1000) == math.inf
+    assert trace.values()[1000] == math.inf
+
+
+@pytest.mark.parametrize("spec", ["pow:alpha=0.5", "chihara", "const",
+                                  "paired:eps=0.01,inner=pow,alpha=1"])
+@pytest.mark.parametrize("lam", [-3.0, -1.7, -0.3, 0.0, 0.45, 1.9, 3.0])
+def test_value_is_bitwise_values_entry(spec, lam):
+    trace = poly_eval(instantiate(spec), lam, 400)
+    one_by_one = np.array([trace.value(n) for n in range(401)])
+    assert one_by_one.tobytes() == trace.values().tobytes()
+
+
 # --- the kernel ------------------------------------------------------------
 
 

@@ -156,6 +156,12 @@ def test_pi_weights_log_recursion():
             math.sqrt(rates.lam(n) / rates.mu(n + 1)), rel=1e-14)
 
 
+def test_pi_past_binary64_is_inf():
+    # pi(n) = n! for these rates, and 200! is beyond binary64
+    pi = PiWeights(parse_rates("lam=quadratic,mu=linear"))
+    assert pi.pi(200) == math.inf
+
+
 def test_bd_similarity_to_generator():
     # C = P Q P^{-1} with P = diag(sqrt(pi)): recover Q as P^{-1} C P
     rates = parse_rates("lam=linear,mu=quadratic")
