@@ -18,16 +18,18 @@ transform
     Derived-sequence tables: sign flip, even/odd restrictions of the
     square, or birth-death generator conversion.
 
-Every output directory receives a ``config.json`` with the serialized run
-configuration and the tool version, and identical configurations produce
-byte-identical outputs.  Numbers are written with 17 significant digits
-and a '.' decimal separator regardless of locale.
+Output rule, kept by :func:`_outputs`: ``--out`` is a directory or a path
+that can be made one, each file name is written once per run, and
+``config.json`` (run configuration and tool version) comes last, on
+success; an error exit leaves none of the run's files.  Identical runs
+give byte-identical outputs: 17 significant digits, '.' decimal separator.
 
 Exit codes: 0 success (including failing verdicts), 2 spec/usage errors,
-3 domain errors during evaluation.
+3 domain errors and sizes that cannot be allocated.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -115,13 +117,35 @@ def _resolve_rates(text):
     return transforms.parse_rates(text)
 
 
-def _ensure_outdir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
+@contextlib.contextmanager
+def _outputs(out, cfg):
+    """Yield ``path(name)`` for each file of a run, by the output rule above."""
+    if not out:  # check without --out reports on stdout
+        yield lambda name: None
+        return
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ParseError("--out %r cannot be made a directory: %s"
+                         % (out, exc.strerror)) from None
+    handed = []
 
+    def path(name):
+        if os.path.join(out, name) in handed:
+            raise ParseError("two outputs of this run are named %s" % name)
+        handed.append(os.path.join(out, name))
+        return handed[-1]
 
-def _write_config(outdir, cfg):
-    _emit_json(os.path.join(outdir, "config.json"), asdict(cfg))
+    try:
+        yield path
+        _emit_json(path("config.json"), asdict(cfg))
+    except BaseException as exc:
+        for name in filter(os.path.isfile, handed):
+            os.remove(name)
+        if isinstance(exc, OSError) and exc.filename in handed:
+            raise ParseError("cannot write %s: %s"
+                             % (exc.filename, exc.strerror)) from None
+        raise
 
 
 def _emit_json(path_or_none, payload):
@@ -145,36 +169,19 @@ def cmd_analyze(args):
     cfg = RunConfig(command="analyze", seq=args.seq, lambdas=lams, n=args.n,
                     alpha=args.alpha or "a", init=args.init or "p",
                     out=args.out)
-    outdir = _ensure_outdir(args.out or ".")
     alpha = _resolve_alpha(args.alpha, seq)
-    written = set()
-    try:
+    with _outputs(args.out or ".", cfg) as path:
         for lam in lams:
-            written.update(_analyze_lambda(seq, alpha, lam, args, outdir))
-    except JacobiError:
-        # an error exit leaves no csv: drop the earlier lams' files
-        for path in written:
-            os.remove(path)
-        raise
-    _write_config(outdir, cfg)
+            # one propagation per lam: both traces come from the same states
+            init = _resolve_init(args.init, seq, lam)
+            trace = diagnostics.s_sequence(seq, alpha, lam, init, args.n)
+            tag = ("%g" % lam).replace("-", "m").replace(".", "p")
+            recurrence.write_trace_csv(path("eigvec_lambda_%s.csv" % tag),
+                                       trace.states)
+            diagnostics.write_trace_csv(path("diagnostics_lambda_%s.csv"
+                                             % tag), trace)
+            del trace  # freed before the next lam's trace is computed
     return EXIT_OK
-
-
-def _analyze_lambda(seq, alpha, lam, args, outdir):
-    """Compute and write the two traces of one lam; return their paths.
-
-    One propagation per lam: the eigenvector trace is written from the
-    states the diagnostics were computed from.  The trace is local, so it
-    is freed before the next lam's is computed.
-    """
-    init = _resolve_init(args.init, seq, lam)
-    tag = ("%g" % lam).replace("-", "m").replace(".", "p")
-    trace = diagnostics.s_sequence(seq, alpha, lam, init, args.n)
-    eigvec = os.path.join(outdir, "eigvec_lambda_%s.csv" % tag)
-    diag = os.path.join(outdir, "diagnostics_lambda_%s.csv" % tag)
-    recurrence.write_trace_csv(eigvec, trace.states)
-    diagnostics.write_trace_csv(diag, trace)
-    return eigvec, diag
 
 
 def cmd_check(args):
@@ -211,12 +218,8 @@ def cmd_check(args):
         else:
             raise ParseError("unknown theorem %r" % theorem)
     report = diagnostics.verdicts_to_json(verdicts, extra=extra)
-    if args.out:
-        outdir = _ensure_outdir(args.out)
-        _write_config(outdir, cfg)
-        _emit_json(os.path.join(outdir, "verdict.json"), report)
-    else:
-        _emit_json(None, report)
+    with _outputs(args.out, cfg) as path:
+        _emit_json(path("verdict.json"), report)
     return EXIT_OK
 
 
@@ -227,23 +230,21 @@ def cmd_spectrum(args):
     cfg = RunConfig(command="spectrum", seq=args.seq, size=args.size,
                     window=args.window, bin=args.bin, weights=args.weights,
                     tol=args.tol, out=args.out)
-    outdir = _ensure_outdir(args.out or ".")
-    if args.window is not None:
-        if args.bin is None:
-            raise ParseError("--window requires --bin")
-        window = tuple(_floats(args.window, "--window", 2))
-        if not all(map(math.isfinite, window + (args.bin,))):
-            raise ParseError("--window and --bin must be finite, got %r and %r"
-                             % (args.window, args.bin))
-        rows = spectra.density_report(seq, args.size, window, args.bin)
-        path = os.path.join(outdir, "density.csv")
-        spectra.write_density_csv(path, rows)
-    else:
-        t = spectra.truncate(seq, args.size)
-        spectrum = spectra.eigenvalues(t, tol=args.tol, weights=args.weights)
-        path = os.path.join(outdir, "spectrum.csv")
-        spectra.write_spectrum_csv(path, spectrum)
-    _write_config(outdir, cfg)
+    with _outputs(args.out or ".", cfg) as path:
+        if args.window is not None:
+            if args.bin is None:
+                raise ParseError("--window requires --bin")
+            window = tuple(_floats(args.window, "--window", 2))
+            if not all(map(math.isfinite, window + (args.bin,))):
+                raise ParseError("--window and --bin must be finite, got %r "
+                                 "and %r" % (args.window, args.bin))
+            rows = spectra.density_report(seq, args.size, window, args.bin)
+            spectra.write_density_csv(path("density.csv"), rows)
+        else:
+            t = spectra.truncate(seq, args.size)
+            spectrum = spectra.eigenvalues(t, tol=args.tol,
+                                           weights=args.weights)
+            spectra.write_spectrum_csv(path("spectrum.csv"), spectrum)
     return EXIT_OK
 
 
@@ -253,23 +254,22 @@ def cmd_transform(args):
     cfg = RunConfig(command="transform", seq=args.seq,
                     rates=args.rates, n=args.n,
                     theorem=None, out=args.out)
-    outdir = _ensure_outdir(args.out or ".")
     kind, n = args.kind, args.n
-    if kind == "bd":
-        pair, pi = transforms.bd_to_jacobi(_resolve_rates(args.rates))
-        header = ["n", "abar", "bbar", "log_pi"]
-        columns = [pair.a_array(n), pair.b_array(n),
-                   pi.log_pi(np.arange(n))]
-    else:
-        seq = instantiate(parse_family(args.seq))
-        derived = {"flip": transforms.flip,
-                   "even": transforms.square_even,
-                   "odd": transforms.square_odd}[kind](seq)
-        header = ["n", "a", "b"]
-        columns = [derived.a_array(n), derived.b_array(n)]
-    recurrence._write_columns(os.path.join(outdir, "%s.csv" % kind), header,
-                              np.arange(n), *columns)
-    _write_config(outdir, cfg)
+    with _outputs(args.out or ".", cfg) as path:
+        if kind == "bd":
+            pair, pi = transforms.bd_to_jacobi(_resolve_rates(args.rates))
+            header = ["n", "abar", "bbar", "log_pi"]
+            columns = [pair.a_array(n), pair.b_array(n),
+                       pi.log_pi(np.arange(n))]
+        else:
+            seq = instantiate(parse_family(args.seq))
+            derived = {"flip": transforms.flip,
+                       "even": transforms.square_even,
+                       "odd": transforms.square_odd}[kind](seq)
+            header = ["n", "a", "b"]
+            columns = [derived.a_array(n), derived.b_array(n)]
+        recurrence._write_columns(path("%s.csv" % kind), header,
+                                  np.arange(n), *columns)
     return EXIT_OK
 
 
@@ -336,7 +336,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except JacobiError as exc:  # ParseError exits 2, DomainError and the rest 3
+    except (JacobiError, MemoryError) as exc:  # ParseError exits 2, the rest 3
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_SPEC_ERROR if isinstance(exc, ParseError) else EXIT_DOMAIN_ERROR
 

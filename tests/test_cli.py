@@ -5,6 +5,7 @@ import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -294,6 +295,13 @@ def table_paths(tmp_path):
     # a(n) alpha(n) = (n+1)**200 overflows from n = 34 on
     (["analyze", "--seq", "pow:alpha=100", "--n", "50"], 3),
     (["analyze", "--seq", "table:{drop}", "--n", "50"], 3),
+    # both lams name the same pair of files
+    (["analyze", "--seq", "const", "--lambda", "0.5,0.5", "--n", "20"], 2),
+    # arrays of 10**15 floats (over 8 PB) cannot be allocated: numpy fails
+    # at once, where a size the kernel could overcommit would not
+    (["transform", "flip", "--seq", "const", "--n", "1" + "0" * 15], 3),
+    (["check", "--theorem", "B", "--seq", "const", "--n", "1" + "0" * 15], 3),
+    (["spectrum", "--seq", "const", "--size", "1" + "0" * 15], 3),
 ])
 def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
     argv = [a.format(**table_paths(tmp_path)) for a in argv]
@@ -483,6 +491,9 @@ def test_analyze_overflowing_step_exits_3(tmp_path, capsys):
     # lam = 0.5 is written before lam = 1e308 overflows
     pytest.param(["analyze", "--seq", "pow:alpha=100", "--n", "33",
                   "--lambda", "0.5,1e308"], 3, id="analyze-later-lambda-fails"),
+    # "%g" gives both lams the tag 0p5: the second pair of files is refused
+    pytest.param(["analyze", "--seq", "const", "--n", "20",
+                  "--lambda", "0.5,0.50000001"], 2, id="analyze-repeated-tag"),
 ])
 def test_error_exit_leaves_no_csv(argv, code, tmp_path):
     rates = tmp_path / "rates.csv"
@@ -491,6 +502,42 @@ def test_error_exit_leaves_no_csv(argv, code, tmp_path):
     argv = [a.format(rates=str(rates)) for a in argv]
     assert run(argv + ["--out", str(out)]) == code
     assert list(out.glob("*.csv")) == []
+
+
+COMMANDS = {
+    "analyze": ["analyze", "--seq", "const", "--n", "20"],
+    "check": ["check", "--theorem", "B", "--seq", "const", "--n", "200"],
+    "spectrum": ["spectrum", "--seq", "const", "--size", "5"],
+    "transform": ["transform", "flip", "--seq", "const", "--n", "5"],
+}
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_out_that_cannot_be_a_directory_exits_2(command, out, tmp_path,
+                                                 capsys):
+    (tmp_path / "file").write_text("kept\n")
+    assert run(COMMANDS[command] + ["--out", str(tmp_path / out)]) == 2
+    assert_one_error_line(capsys)
+    assert [p.name for p in tmp_path.rglob("*")] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command, taken", [
+    ("spectrum", "spectrum.csv"),
+    ("transform", "config.json"),   # written last: flip.csv is removed
+])
+def test_output_that_is_a_directory_exits_2(command, taken, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    assert run(COMMANDS[command] + ["--out", str(out)]) == 2
+    assert_one_error_line(capsys)
+    assert [p.relative_to(out) for p in out.rglob("*")] == [Path(taken)]
 
 
 @pytest.mark.parametrize("command", [

@@ -4,7 +4,10 @@ For every input, ``cli.main`` must finish within a wall-time bound with
 exit code 0, 2 or 3, and print no traceback: argparse usage errors exit 2
 through ``SystemExit``, and any other exception escaping ``main`` fails
 the test.  A numpy ``RuntimeWarning`` is turned into such an exception,
-and a success exit writes nothing to stderr.  Sizes stay small (``--n`` <= 300, ``--size`` <= 50) and the
+and a success exit writes nothing to stderr.  ``--out`` is a fresh
+temporary directory, an existing file in it or a path under that file;
+the last two never exit 0, and leave the file as it was and no other
+file behind.  Sizes stay small (``--n`` <= 300, ``--size`` <= 50) and the
 examples are derandomized, so the run is deterministic and takes seconds.
 """
 
@@ -124,26 +127,42 @@ TRANSFORM = _concat(
     option("--rates", RATES))
 
 
-def run_cli(argv):
-    """(exit code, stderr, seconds) of one in-process ``cli.main`` call."""
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    return code, err.getvalue(), time.perf_counter() - start
+# the fresh directory itself, an existing file in it, a path under that file
+OUTS = st.sampled_from(["", "file", os.path.join("file", "sub")])
+
+
+def run_cli(argv, out):
+    """(exit code, stderr, seconds) of one in-process ``cli.main`` call.
+
+    ``--out`` is ``out`` under a fresh temporary directory holding one file.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "file"), "w") as fh:
+            fh.write("kept\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv + ["--out", os.path.join(tmp, out)])
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        seconds = time.perf_counter() - start
+        if out:
+            assert code != 0, (argv, out)
+            assert os.listdir(tmp) == ["file"], (argv, out, os.listdir(tmp))
+            with open(os.path.join(tmp, "file")) as fh:
+                assert fh.read() == "kept\n", (argv, out)
+    return code, stderr.getvalue(), seconds
 
 
 # a numpy warning is an error: no input may make one, on any exit
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(argv=st.one_of(ANALYZE, CHECK, SPECTRUM, TRANSFORM))
-def test_cli_contract_holds_for_generated_input(argv):
-    with tempfile.TemporaryDirectory() as out:
-        code, err, seconds = run_cli(argv + ["--out", out])
+@given(argv=st.one_of(ANALYZE, CHECK, SPECTRUM, TRANSFORM), out=OUTS)
+def test_cli_contract_holds_for_generated_input(argv, out):
+    code, err, seconds = run_cli(argv, out)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     assert seconds < WALL_BOUND_S, (argv, seconds)
@@ -152,10 +171,9 @@ def test_cli_contract_holds_for_generated_input(argv):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(argv=st.one_of(ANALYZE, CHECK, SPECTRUM, TRANSFORM))
-def test_success_exit_writes_nothing_to_stderr(argv):
-    with tempfile.TemporaryDirectory() as out:
-        code, err, _ = run_cli(argv + ["--out", out])
+@given(argv=st.one_of(ANALYZE, CHECK, SPECTRUM, TRANSFORM), out=OUTS)
+def test_success_exit_writes_nothing_to_stderr(argv, out):
+    code, err, _ = run_cli(argv, out)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     if code == 0:
