@@ -180,7 +180,7 @@ def cmd_analyze(args):
                                        trace.states)
             diagnostics.write_trace_csv(path("diagnostics_lambda_%s.csv"
                                              % tag), trace)
-            del trace  # freed before the next lam's trace is computed
+            del trace, init, tag  # nothing of this lam outlives its turn
     return EXIT_OK
 
 
