@@ -18,10 +18,12 @@ transform
     Derived-sequence tables: sign flip, even/odd restrictions of the
     square, or birth-death generator conversion.
 
-Output rule, kept by :func:`_outputs`: ``--out`` is a directory or a path
-that can be made one, each file name is written once per run, and
-``config.json`` (run configuration and tool version) comes last, on
-success; an error exit leaves none of the run's files.  Identical runs
+Output rule, kept by :func:`_outputs` around every command: ``--out`` is a
+directory or a path that can be made one, made with the run's first
+output; each file name is written once per run, and ``config.json`` (the
+parsed options that are :class:`RunConfig` fields, and the tool version)
+comes last, on success.  An error exit leaves none of the run's files,
+and no ``--out`` if it failed before the first output.  Identical runs
 give byte-identical outputs: 17 significant digits, '.' decimal separator.
 
 Exit codes: 0 success (including failing verdicts), 2 spec/usage errors,
@@ -34,7 +36,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -118,19 +120,21 @@ def _resolve_rates(text):
 
 
 @contextlib.contextmanager
-def _outputs(out, cfg):
+def _outputs(args):
     """Yield ``path(name)`` for each file of a run, by the output rule above."""
-    if not out:  # check without --out reports on stdout
+    out = args.out
+    if not out and args.command == "check":  # the report goes to stdout
         yield lambda name: None
         return
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise ParseError("--out %r cannot be made a directory: %s"
-                         % (out, exc.strerror)) from None
     handed = []
 
     def path(name):
+        if not handed:
+            try:
+                os.makedirs(out or ".", exist_ok=True)
+            except OSError as exc:
+                raise ParseError("--out %r cannot be made a directory: %s"
+                                 % (out, exc.strerror)) from None
         if os.path.join(out, name) in handed:
             raise ParseError("two outputs of this run are named %s" % name)
         handed.append(os.path.join(out, name))
@@ -138,13 +142,17 @@ def _outputs(out, cfg):
 
     try:
         yield path
-        _emit_json(path("config.json"), asdict(cfg))
+        _emit_json(path("config.json"), asdict(RunConfig(**{
+            f.name: getattr(args, f.name) for f in fields(RunConfig)
+            if hasattr(args, f.name)})))
     except BaseException as exc:
         for name in filter(os.path.isfile, handed):
             os.remove(name)
-        if isinstance(exc, OSError) and exc.filename in handed:
+        # a failed write (a full disk) names no file
+        if isinstance(exc, OSError) and handed and exc.filename in (
+                None, handed[-1]):
             raise ParseError("cannot write %s: %s"
-                             % (exc.filename, exc.strerror)) from None
+                             % (handed[-1], exc.strerror)) from None
         raise
 
 
@@ -160,35 +168,28 @@ def _emit_json(path_or_none, payload):
 # --- commands --------------------------------------------------------------
 
 
-def cmd_analyze(args):
+def cmd_analyze(args, path):
     seq = instantiate(parse_family(args.seq))
-    lams = [lam for text in args.lambdas or []
-            for lam in _floats(text, "--lambda")] or [0.0]
-    if not all(map(math.isfinite, lams)):
-        raise ParseError("--lambda values must be finite, got %s" % lams)
-    cfg = RunConfig(command="analyze", seq=args.seq, lambdas=lams, n=args.n,
-                    alpha=args.alpha or "a", init=args.init or "p",
-                    out=args.out)
+    args.lambdas = [lam for text in args.lambdas or []
+                    for lam in _floats(text, "--lambda")] or [0.0]
+    if not all(map(math.isfinite, args.lambdas)):
+        raise ParseError("--lambda values must be finite, got %s"
+                         % args.lambdas)
     alpha = _resolve_alpha(args.alpha, seq)
-    with _outputs(args.out or ".", cfg) as path:
-        for lam in lams:
-            # one propagation per lam: both traces come from the same states
-            init = _resolve_init(args.init, seq, lam)
-            trace = diagnostics.s_sequence(seq, alpha, lam, init, args.n)
-            tag = ("%g" % lam).replace("-", "m").replace(".", "p")
-            recurrence.write_trace_csv(path("eigvec_lambda_%s.csv" % tag),
-                                       trace.states)
-            diagnostics.write_trace_csv(path("diagnostics_lambda_%s.csv"
-                                             % tag), trace)
-            del trace, init, tag  # nothing of this lam outlives its turn
-    return EXIT_OK
+    for lam in args.lambdas:
+        # one propagation per lam: both traces come from the same states
+        init = _resolve_init(args.init, seq, lam)
+        trace = diagnostics.s_sequence(seq, alpha, lam, init, args.n)
+        tag = ("%g" % lam).replace("-", "m").replace(".", "p")
+        recurrence.write_trace_csv(path("eigvec_lambda_%s.csv" % tag),
+                                   trace.states)
+        diagnostics.write_trace_csv(path("diagnostics_lambda_%s.csv" % tag),
+                                    trace)
+        del trace, init, tag  # nothing of this lam outlives its turn
 
 
-def cmd_check(args):
+def cmd_check(args, path):
     theorem = args.theorem
-    cfg = RunConfig(command="check", seq=args.seq, rates=args.rates,
-                    n=args.n, alpha=args.alpha, theorem=theorem, K=args.k,
-                    out=args.out)
     extra = {"theorem": theorem, "n": args.n, "version": __version__}
     if theorem == "51":
         rates = _resolve_rates(args.rates)
@@ -212,65 +213,49 @@ def cmd_check(args):
             extra["undefined_ratios"] = result.undefined_ratios
         elif theorem == "42":
             verdicts = diagnostics.check_theorem_42(seq, args.n)
-        elif theorem == "43":
-            K = 1 if args.k is None else args.k
+        else:  # "43"
+            K = 1 if args.K is None else args.K
             verdicts = diagnostics.check_theorem_43(seq, K, args.n)
-        else:
-            raise ParseError("unknown theorem %r" % theorem)
     report = diagnostics.verdicts_to_json(verdicts, extra=extra)
-    with _outputs(args.out, cfg) as path:
-        _emit_json(path("verdict.json"), report)
-    return EXIT_OK
+    _emit_json(path("verdict.json"), report)
 
 
-def cmd_spectrum(args):
+def cmd_spectrum(args, path):
     if args.size < 1:
         raise ParseError("--size must be >= 1, got %d" % args.size)
     seq = instantiate(parse_family(args.seq))
-    cfg = RunConfig(command="spectrum", seq=args.seq, size=args.size,
-                    window=args.window, bin=args.bin, weights=args.weights,
-                    tol=args.tol, out=args.out)
-    with _outputs(args.out or ".", cfg) as path:
-        if args.window is not None:
-            if args.bin is None:
-                raise ParseError("--window requires --bin")
-            window = tuple(_floats(args.window, "--window", 2))
-            if not all(map(math.isfinite, window + (args.bin,))):
-                raise ParseError("--window and --bin must be finite, got %r "
-                                 "and %r" % (args.window, args.bin))
-            rows = spectra.density_report(seq, args.size, window, args.bin)
-            spectra.write_density_csv(path("density.csv"), rows)
-        else:
-            t = spectra.truncate(seq, args.size)
-            spectrum = spectra.eigenvalues(t, tol=args.tol,
-                                           weights=args.weights)
-            spectra.write_spectrum_csv(path("spectrum.csv"), spectrum)
-    return EXIT_OK
+    if args.window is not None:
+        if args.bin is None:
+            raise ParseError("--window requires --bin")
+        window = tuple(_floats(args.window, "--window", 2))
+        if not all(map(math.isfinite, window + (args.bin,))):
+            raise ParseError("--window and --bin must be finite, got %r "
+                             "and %r" % (args.window, args.bin))
+        rows = spectra.density_report(seq, args.size, window, args.bin)
+        spectra.write_density_csv(path("density.csv"), rows)
+    else:
+        t = spectra.truncate(seq, args.size)
+        spectrum = spectra.eigenvalues(t, tol=args.tol, weights=args.weights)
+        spectra.write_spectrum_csv(path("spectrum.csv"), spectrum)
 
 
-def cmd_transform(args):
+def cmd_transform(args, path):
     if args.n < 0:
         raise ParseError("--n must be >= 0, got %d" % args.n)
-    cfg = RunConfig(command="transform", seq=args.seq,
-                    rates=args.rates, n=args.n,
-                    theorem=None, out=args.out)
     kind, n = args.kind, args.n
-    with _outputs(args.out or ".", cfg) as path:
-        if kind == "bd":
-            pair, pi = transforms.bd_to_jacobi(_resolve_rates(args.rates))
-            header = ["n", "abar", "bbar", "log_pi"]
-            columns = [pair.a_array(n), pair.b_array(n),
-                       pi.log_pi(np.arange(n))]
-        else:
-            seq = instantiate(parse_family(args.seq))
-            derived = {"flip": transforms.flip,
-                       "even": transforms.square_even,
-                       "odd": transforms.square_odd}[kind](seq)
-            header = ["n", "a", "b"]
-            columns = [derived.a_array(n), derived.b_array(n)]
-        recurrence._write_columns(path("%s.csv" % kind), header,
-                                  np.arange(n), *columns)
-    return EXIT_OK
+    if kind == "bd":
+        pair, pi = transforms.bd_to_jacobi(_resolve_rates(args.rates))
+        header = ["n", "abar", "bbar", "log_pi"]
+        columns = [pair.a_array(n), pair.b_array(n), pi.log_pi(np.arange(n))]
+    else:
+        seq = instantiate(parse_family(args.seq))
+        derived = {"flip": transforms.flip,
+                   "even": transforms.square_even,
+                   "odd": transforms.square_odd}[kind](seq)
+        header = ["n", "a", "b"]
+        columns = [derived.a_array(n), derived.b_array(n)]
+    recurrence._write_columns(path("%s.csv" % kind), header, np.arange(n),
+                              *columns)
 
 
 # --- argument parsing ------------------------------------------------------
@@ -304,7 +289,8 @@ def build_parser():
                         "e.g. lam=linear,mu=linear")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", default="a")
-    p.add_argument("--k", type=int, help="iterated-log depth for theorem 43")
+    p.add_argument("--k", dest="K", type=int,
+                   help="iterated-log depth for theorem 43")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
@@ -332,10 +318,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _outputs(args) as path:
+            args.func(args, path)
+        return EXIT_OK
     except (JacobiError, MemoryError) as exc:  # ParseError exits 2, the rest 3
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_SPEC_ERROR if isinstance(exc, ParseError) else EXIT_DOMAIN_ERROR

@@ -82,18 +82,6 @@ CATALOG_FAMILIES = {
 }
 
 
-class _ArithmeticFault(DomainError):
-    """A builtin overflowed binary64 or divided by zero at ``index`` of a
-    checked build; ``what`` says which, e.g. for 0.0 ** -0.5."""
-
-    def __init__(self, index, exc):
-        overflow = isinstance(exc, OverflowError)
-        self.index = index
-        self.what = "overflows" if overflow else "is undefined (%s)" % exc
-        super().__init__("entry %d %s" % (
-            index, "overflows binary64" if overflow else self.what))
-
-
 def _per_index(fn):
     """The builder of a sequence given by a per-index callable fn(n).
 
@@ -115,7 +103,9 @@ def _positive(values, lo):
     return (values > 0.0) & (values < np.inf)
 
 
-def _checked(build, lo, hi, valid=None, reject=None):
+def _checked(build, lo, hi, valid=None, reject=None,
+             fault=lambda n, what: "entry %d %s" % (
+                 n, "overflows binary64" if what == "overflows" else what)):
     """build(lo, hi), the entries lo..hi-1 as a float array, checked whole.
 
     The first entry that ``valid(values, lo)`` rejects raises
@@ -123,8 +113,9 @@ def _checked(build, lo, hi, valid=None, reject=None):
     before an earlier one (a parent's overflow before an inf product), so a
     failing range is bisected to its first failing index: the fault raised
     is the one that evaluating the entries in index order meets first, and
-    an OverflowError or ZeroDivisionError becomes :class:`_ArithmeticFault`
-    naming that index.
+    an OverflowError or ZeroDivisionError becomes
+    ``DomainError(fault(index, what))``, with ``what`` "overflows" or
+    "is undefined (<message>)".
     """
     if hi < lo:
         raise DomainError("index range stop %d is below its start %d" % (hi, lo))
@@ -146,18 +137,19 @@ def _checked(build, lo, hi, valid=None, reject=None):
     try:
         return check(hi)
     except (DomainError, ArithmeticError) as exc:
-        fault = exc
-    good, bad = lo, hi          # check(good) passes, check(bad) raises fault
+        error = exc
+    good, bad = lo, hi          # check(good) passes, check(bad) raises error
     while bad - good > 1:
         mid = (good + bad) // 2
         try:
             check(mid)
             good = mid
         except (DomainError, ArithmeticError) as exc:
-            bad, fault = mid, exc
-    if isinstance(fault, ArithmeticError):
-        raise _ArithmeticFault(bad - 1, fault) from None
-    raise fault
+            bad, error = mid, exc
+    if isinstance(error, ArithmeticError):
+        raise DomainError(fault(bad - 1, "overflows" if isinstance(
+            error, OverflowError) else "is undefined (%s)" % error)) from None
+    raise error
 
 
 class _Sequences:
@@ -198,12 +190,10 @@ class _Sequences:
             raise DomainError("sequence index must be >= 0, got %d" % lo)
         end = hi if self.length is None else min(hi, max(lo, self.length))
         valid, reject = self._rules[label]
-        try:
-            values = _checked(self._build[label], lo, end, valid,
-                              lambda n, v: reject(n, v, self.name))
-        except _ArithmeticFault as exc:
-            raise DomainError("%s(%d) %s for family %r"
-                              % (label, exc.index, exc.what, self.name)) from None
+        values = _checked(self._build[label], lo, end, valid,
+                          lambda n, v: reject(n, v, self.name),
+                          lambda n, what: "%s(%d) %s for family %r"
+                          % (label, n, what, self.name))
         if end < hi:
             raise DomainError(self._past_end % {
                 "label": label, "n": end, "name": self.name,

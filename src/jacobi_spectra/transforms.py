@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ParseError
 from . import diagnostics as _diag
 from .diagnostics import overall_verdict
 from .recurrence import _elementwise, _exp_signed
@@ -289,7 +289,7 @@ def parse_rates(text):
     lam_name = fields.get("lam")
     mu_name = fields.get("mu")
     if lam_name not in _RATE_FAMILIES or mu_name not in _RATE_FAMILIES:
-        raise DomainError(
+        raise ParseError(
             "rates must name one of %s for both lam and mu; got %r"
             % (sorted(_RATE_FAMILIES), rest))
     return BirthDeathRates.from_builders(

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import time
 import warnings
 from pathlib import Path
@@ -290,6 +291,9 @@ def table_paths(tmp_path):
                    "rates_repeated")],
     (["check", "--theorem", "51", "--bd", "lam=linear,lam=quadratic,mu=linear",
       "--n", "200"], 2),
+    # an unknown rate name or a missing key is a spec error, like a family
+    (["check", "--theorem", "51", "--bd", "lam=cubic,mu=linear", "--n", "200"], 2),
+    (["check", "--theorem", "51", "--bd", "lam=linear", "--n", "200"], 2),
     (["spectrum", "--seq", "paired:eps=1,inner=pow,alpha=1,alpha=2",
       "--size", "5"], 2),
     # a(n) alpha(n) = (n+1)**200 overflows from n = 34 on
@@ -504,12 +508,61 @@ def test_error_exit_leaves_no_csv(argv, code, tmp_path):
     assert list(out.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--seq", "bogus", "--n", "5"],
+    ["check", "--theorem", "B", "--seq", "bogus", "--n", "200"],
+    ["spectrum", "--seq", "const", "--size", "5", "--window=0,1"],
+    ["transform", "flip", "--seq", "bogus", "--n", "5"],
+], ids=lambda argv: argv[0])
+def test_error_before_the_first_output_makes_no_out(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
 COMMANDS = {
     "analyze": ["analyze", "--seq", "const", "--n", "20"],
     "check": ["check", "--theorem", "B", "--seq", "const", "--n", "200"],
     "spectrum": ["spectrum", "--seq", "const", "--size", "5"],
     "transform": ["transform", "flip", "--seq", "const", "--n", "5"],
 }
+
+
+@pytest.mark.parametrize("command, names", [
+    ("analyze", ["config.json", "diagnostics_lambda_0.csv",
+                 "eigvec_lambda_0.csv"]),
+    ("spectrum", ["config.json", "spectrum.csv"]),
+    ("transform", ["config.json", "flip.csv"]),
+])
+def test_empty_out_writes_to_the_working_directory(command, names, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(COMMANDS[command] + ["--out", ""]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert json.loads((tmp_path / "config.json").read_text())["out"] == ""
+
+
+def test_check_with_empty_out_reports_on_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(COMMANDS["check"] + ["--out", ""]) == 0
+    assert json.loads(capsys.readouterr().out)["theorem"] == "B"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, a device whose writes fail")
+def test_full_disk_exits_2_naming_the_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "spectrum.csv").symlink_to("/dev/full")
+    assert run(COMMANDS["spectrum"] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: cannot write %s: No space left on device"
+                   % (out / "spectrum.csv")]
+    assert [p.name for p in out.iterdir()] == ["spectrum.csv"]
+    assert os.readlink(out / "spectrum.csv") == "/dev/full"
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"])

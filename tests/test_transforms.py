@@ -220,7 +220,7 @@ def test_theorem_51_checker_fixtures():
 
 
 def test_parse_rates_rejects_unknown():
-    with pytest.raises(DomainError):
+    with pytest.raises(ParseError):
         parse_rates("lam=cubic,mu=linear")
     for text in ["lam=linear,mu=linear,zz=1",
                  "lam=linear,lam=quadratic,mu=linear", "lam=linear,,mu=linear"]:
