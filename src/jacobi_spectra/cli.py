@@ -21,10 +21,10 @@ transform
 Output rule, kept by :func:`_outputs` around every command: ``--out`` is a
 directory or a path that can be made one, made with the run's first
 output; each file name is written once per run, and ``config.json`` (the
-parsed options that are :class:`RunConfig` fields, and the tool version)
-comes last, on success.  An error exit leaves none of the run's files,
-and no ``--out`` if it failed before the first output.  Identical runs
-give byte-identical outputs: 17 significant digits, '.' decimal separator.
+command's parsed options, with the tool version) comes last, on success.
+An error exit leaves none of the run's files, and no ``--out`` if it
+failed before the first output.  Identical runs give byte-identical
+outputs: 17 significant digits, '.' decimal separator.
 
 Exit codes: 0 success (including failing verdicts), 2 spec/usage errors,
 3 domain errors and sizes that cannot be allocated.
@@ -36,7 +36,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -49,29 +48,6 @@ from .sequences import (WeightSequence, _read_table, instantiate,
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
-
-
-@dataclass
-class RunConfig:
-    """Everything needed to reproduce one CLI run."""
-
-    command: str
-    seq: str | None = None
-    rates: str | None = None
-    lambdas: list = field(default_factory=list)
-    n: int | None = None
-    size: int | None = None
-    alpha: str | None = None
-    theorem: str | None = None
-    K: int | None = None
-    init: str | None = None
-    window: str | None = None
-    bin: float | None = None
-    weights: bool = False
-    tol: float | None = None
-    format: str = "csv"
-    out: str | None = None
-    version: str = __version__
 
 
 def _resolve_alpha(choice, seq):
@@ -106,7 +82,7 @@ def _floats(text, option, count=None):
 
 
 def _resolve_init(text, seq, lam):
-    if text is None or text == "p":
+    if text == "p":
         return recurrence.poly_init(seq, lam)
     return recurrence.EigvecInit(*_floats(text, "--init", 2))
 
@@ -121,7 +97,8 @@ def _resolve_rates(text):
 
 @contextlib.contextmanager
 def _outputs(args):
-    """Yield ``path(name)`` for each file of a run, by the output rule above."""
+    """Yield ``path(name)`` for each file of a run, by the output rule above;
+    ``config.json`` is ``args`` as the command leaves it, less ``func``."""
     out = args.out
     if not out and args.command == "check":  # the report goes to stdout
         yield lambda name: None
@@ -142,9 +119,9 @@ def _outputs(args):
 
     try:
         yield path
-        _emit_json(path("config.json"), asdict(RunConfig(**{
-            f.name: getattr(args, f.name) for f in fields(RunConfig)
-            if hasattr(args, f.name)})))
+        config = dict(vars(args), version=__version__)
+        del config["func"]
+        _emit_json(path("config.json"), config)
     except BaseException as exc:
         for name in filter(os.path.isfile, handed):
             os.remove(name)
@@ -214,8 +191,7 @@ def cmd_check(args, path):
         elif theorem == "42":
             verdicts = diagnostics.check_theorem_42(seq, args.n)
         else:  # "43"
-            K = 1 if args.K is None else args.K
-            verdicts = diagnostics.check_theorem_43(seq, K, args.n)
+            verdicts = diagnostics.check_theorem_43(seq, args.K, args.n)
     report = diagnostics.verdicts_to_json(verdicts, extra=extra)
     _emit_json(path("verdict.json"), report)
 
@@ -223,10 +199,14 @@ def cmd_check(args, path):
 def cmd_spectrum(args, path):
     if args.size < 1:
         raise ParseError("--size must be >= 1, got %d" % args.size)
+    density = args.window is not None
+    if density != (args.bin is not None):
+        raise ParseError("--window requires --bin" if density
+                         else "--bin requires --window")
+    if density and (args.weights or args.tol is not None):
+        raise ParseError("--weights and --tol apply only without --window")
     seq = instantiate(parse_family(args.seq))
-    if args.window is not None:
-        if args.bin is None:
-            raise ParseError("--window requires --bin")
+    if density:
         window = tuple(_floats(args.window, "--window", 2))
         if not all(map(math.isfinite, window + (args.bin,))):
             raise ParseError("--window and --bin must be finite, got %r "
@@ -289,7 +269,7 @@ def build_parser():
                         "e.g. lam=linear,mu=linear")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", default="a")
-    p.add_argument("--k", dest="K", type=int,
+    p.add_argument("--k", dest="K", type=int, default=1,
                    help="iterated-log depth for theorem 43")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)

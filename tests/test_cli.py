@@ -306,6 +306,12 @@ def table_paths(tmp_path):
     (["transform", "flip", "--seq", "const", "--n", "1" + "0" * 15], 3),
     (["check", "--theorem", "B", "--seq", "const", "--n", "1" + "0" * 15], 3),
     (["spectrum", "--seq", "const", "--size", "1" + "0" * 15], 3),
+    # an option the spectrum mode would ignore
+    (["spectrum", "--seq", "const", "--size", "5", "--bin", "0.1"], 2),
+    (["spectrum", "--seq", "const", "--size", "5", "--window=0,1",
+      "--bin", "0.1", "--weights"], 2),
+    (["spectrum", "--seq", "const", "--size", "5", "--window=0,1",
+      "--bin", "0.1", "--tol", "1e-9"], 2),
 ])
 def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
     argv = [a.format(**table_paths(tmp_path)) for a in argv]

@@ -21,6 +21,9 @@ defect in the package.  Regenerate after an intended output change with
 
 which prints one ``moved: <job> <part>`` line for each exit code, stdout
 or file whose digest changed, so a re-record shows exactly what moved.
+
+The same jobs test that a run's ``config.json`` reproduces it: the argv
+rebuilt from the file reruns the job to the same data files.
 """
 
 import contextlib
@@ -155,15 +158,18 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def run_job(job_id, workdir):
-    """Digests of one job run inside ``workdir``."""
-    argv = list(JOBS[job_id])
-    outdir = os.path.join(workdir, job_id)
-    os.makedirs(outdir)
+def _with_out(argv, out):
+    """``argv`` writing into ``out``: its ``--out`` replaced, or one added."""
+    argv = list(argv)
     if "--out" in argv:
-        argv[argv.index("--out") + 1] = job_id
-    elif argv[0] != "check":
-        argv += ["--out", job_id]
+        argv[argv.index("--out") + 1] = out
+    else:
+        argv += ["--out", out]
+    return argv
+
+
+def _run_cli(argv, workdir):
+    """Exit code and stdout of ``cli.main(argv)`` run inside ``workdir``."""
     stdout = io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -172,12 +178,22 @@ def run_job(job_id, workdir):
             code = cli.main(argv)
     finally:
         os.chdir(cwd)
+    return code, stdout.getvalue()
+
+
+def run_job(job_id, workdir):
+    """Digests of one job run inside ``workdir``."""
+    argv = JOBS[job_id]
+    outdir = os.path.join(workdir, job_id)
+    os.makedirs(outdir)
+    if "--out" in argv or argv[0] != "check":
+        argv = _with_out(argv, job_id)
+    code, stdout = _run_cli(argv, workdir)
     files = {}
     if code == 0:
         files = {name: _sha(Path(outdir, name).read_bytes())
                  for name in sorted(os.listdir(outdir))}
-    return {"exit": code, "stdout": _sha(stdout.getvalue().encode()),
-            "files": files}
+    return {"exit": code, "stdout": _sha(stdout.encode()), "files": files}
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +226,60 @@ def test_moved_names_each_changed_part():
 @pytest.mark.parametrize("job_id", sorted(JOBS))
 def test_golden(job_id, workdir, recorded):
     assert run_job(job_id, workdir) == recorded[job_id]
+
+
+def _argv_from_config(config, out):
+    """The argv that reruns the run ``config`` records, into ``out``.
+
+    Each key maps to its option through the parser's own actions: a
+    ``dest`` to its first option string, a positional in place.  Values
+    go in ``--flag=value`` form, so ``-1.5`` or ``-3,12`` parse as values.
+    """
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action.choices, dict)]
+    actions = [action for action in commands[config["command"]]._actions
+               if action.dest != "help"]
+    # every recorded key is an option of the command, and every option is
+    # recorded
+    assert sorted(config) == sorted(
+        [action.dest for action in actions] + ["command", "version"])
+    argv = [config["command"]]
+    for action in actions:
+        value = out if action.dest == "out" else config[action.dest]
+        if value is None or value is False:
+            continue
+        if not action.option_strings:  # transform's kind
+            argv.append(value)
+        elif action.nargs == 0:  # a flag such as --weights
+            argv.append(action.option_strings[0])
+        else:
+            items = value if isinstance(value, list) else [value]
+            argv += ["%s=%s" % (action.option_strings[0], item)
+                     for item in items]
+    return argv
+
+
+@pytest.mark.parametrize("job_id", sorted(JOBS))
+def test_config_json_replays_its_run(job_id, workdir):
+    """A run's config.json reruns it: every data file comes out byte for
+    byte, and config.json too, apart from ``out``.  A check job is given
+    an ``--out`` so that it writes one."""
+    first, again = job_id + ".first", job_id + ".again"
+    code, _ = _run_cli(_with_out(JOBS[job_id], first), workdir)
+    if code:  # an error exit writes no config.json
+        assert not os.path.exists(os.path.join(workdir, first, "config.json"))
+        return
+    config = json.loads(Path(workdir, first, "config.json").read_text())
+    assert _run_cli(_argv_from_config(config, again), workdir)[0] == 0
+    names = sorted(os.listdir(os.path.join(workdir, first)))
+    assert sorted(os.listdir(os.path.join(workdir, again))) == names
+    for name in names:
+        old, new = (Path(workdir, out, name).read_bytes()
+                    for out in (first, again))
+        if name == "config.json":
+            old, new = (dict(json.loads(text), out=None)
+                        for text in (old, new))
+        assert old == new, name
 
 
 def _entries(digests):
