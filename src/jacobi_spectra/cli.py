@@ -95,6 +95,15 @@ def _resolve_rates(text):
     return transforms.parse_rates(text)
 
 
+def _check_source(args, from_rates, command):
+    """A ParseError if ``--seq`` is given where the rates are read, or
+    ``--rates``/``--bd`` where the sequence is (both default to None)."""
+    given = args.seq if from_rates else args.rates
+    if given is not None:
+        raise ParseError("%s does not take %s, got %r" % (
+            command, "--seq" if from_rates else "--rates/--bd", given))
+
+
 @contextlib.contextmanager
 def _outputs(args):
     """Yield ``path(name)`` for each file of a run, by the output rule above;
@@ -167,6 +176,7 @@ def cmd_analyze(args, path):
 
 def cmd_check(args, path):
     theorem = args.theorem
+    _check_source(args, theorem == "51", "check --theorem %s" % theorem)
     extra = {"theorem": theorem, "n": args.n, "version": __version__}
     if theorem == "51":
         rates = _resolve_rates(args.rates)
@@ -223,6 +233,7 @@ def cmd_transform(args, path):
     if args.n < 0:
         raise ParseError("--n must be >= 0, got %d" % args.n)
     kind, n = args.kind, args.n
+    _check_source(args, kind == "bd", "transform %s" % kind)
     if kind == "bd":
         pair, pi = transforms.bd_to_jacobi(_resolve_rates(args.rates))
         header = ["n", "abar", "bbar", "log_pi"]

@@ -86,21 +86,18 @@ def _exp_signed(sign, log_abs):
 def _write_columns(path, header, *columns, blank=None):
     """Equal-length array columns as CSV rows (CRLF, as ``csv.writer``).
 
-    The one place output numbers are formatted: integer columns as
-    integers, float columns with 17 significant digits.  Rows where the
-    boolean array ``blank`` is true leave their last cell empty.
+    The one place output numbers are formatted: integer columns (at most
+    int64) as ``'%d' % i`` and the other columns as ``'%.17g' % x``, byte
+    for byte.  Rows where the boolean array ``blank`` is true leave their
+    last cell empty.  ``_cells`` computes the digits of whole blocks of
+    rows in numpy arithmetic; a float within 1e-9 of a tie at 17 digits,
+    which CPython rounds half-even, and a subnormal are formatted by ``%``.
     """
-    specs = ["%d" if c.dtype.kind in "iu" else "%.17g" for c in columns]
-    row = ",".join(specs) + "\r\n"
-    rows = zip(*map(memoryview, columns))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        if blank is None:
-            fh.writelines(map(row.__mod__, rows))
-        else:
-            short = ",".join(specs[:-1]) + ",\r\n"
-            fh.writelines(short % r[:-1] if b else row % r
-                          for r, b in zip(rows, memoryview(blank)))
+    from . import _cells  # its tables are built at the first write
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for block in _cells.rows(columns, blank):
+            fh.write(block)
 
 
 @dataclass(frozen=True)

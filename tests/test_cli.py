@@ -8,11 +8,13 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jacobi_spectra import (ParseError, check_theorem_43, instantiate,
-                            verdicts_to_json)
-from jacobi_spectra.cli import _resolve_alpha, main
+                            parse_family, s_sequence, verdicts_to_json)
+from jacobi_spectra.cli import _resolve_alpha, _resolve_init, main
+from jacobi_spectra.recurrence import _LOG_HUGE, _exp_signed, _sign_log_abs
 
 
 def run(args):
@@ -38,6 +40,57 @@ def test_analyze_writes_traces_and_config(tmp_path, capsys):
     assert cfg["command"] == "analyze"
     assert cfg["lambdas"] == [0.5, 1.5]
     assert cfg["version"]
+
+
+def read_csv(path):
+    """The header and the float columns of a written CSV, '' as NaN."""
+    header, *rows = path.read_text().splitlines()
+    cells = [[float(c) if c else math.nan for c in row.split(",")]
+             for row in rows]
+    return header.split(","), np.array(cells).T
+
+
+def bits(x):
+    """x as int64 bit patterns; every NaN is written as ``nan``, so one NaN."""
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+@pytest.mark.parametrize("seq, alpha, lam, init, n", [
+    ("pow:alpha=0.5", "a", 0.5, "p", 2000),
+    # u beyond binary64 at large n: its cell is blank there
+    ("chihara", "one", -400.0, "p", 2000),
+    # every state NaN: sign -1, log|u| NaN, u blank
+    ("const", "a", 0.0, "nan,1", 20),
+])
+def test_analyze_csvs_read_back_bit_for_bit(seq, alpha, lam, init, n,
+                                            tmp_path):
+    out = tmp_path / "run"
+    assert run(["analyze", "--seq", seq, "--alpha", alpha, "--lambda=%r" % lam,
+                "--init", init, "--n", str(n), "--out", str(out)]) == 0
+    family = instantiate(parse_family(seq))
+    trace = s_sequence(family, _resolve_alpha(alpha, family), lam,
+                       _resolve_init(init, family, lam), n)
+    tag = ("%g" % lam).replace("-", "m").replace(".", "p")
+    header, got = read_csv(out / ("diagnostics_lambda_%s.csv" % tag))
+    assert header == ["n", "S_over_Shat", "F", "sumFminus",
+                      "sum_inv_a_alpha", "wmin", "wmax"]
+    for column, want in zip(got, [trace.n, trace.s_over_shat, trace.F,
+                                  trace.sum_F_minus, trace.sum_inv_a_alpha,
+                                  trace.w_min, trace.w_max]):
+        assert (bits(column) == bits(want.astype(float))).all()
+    header, (n_col, sign, log_abs, u) = read_csv(
+        out / ("eigvec_lambda_%s.csv" % tag))
+    assert header == ["n", "sign_u", "log_abs_u", "u_if_representable"]
+    want_sign, want_log = _sign_log_abs(trace.states[:, 0], trace.states[:, 2])
+    assert (n_col == np.arange(n + 1)).all()
+    assert (sign == want_sign).all()
+    assert (bits(log_abs) == bits(want_log)).all()
+    # the rule: u shown where sign is 0 or |log u| < log(DBL_MAX), else blank
+    blank = np.isnan(u)
+    assert (blank == ((want_sign != 0) & ~(np.abs(want_log) < _LOG_HUGE))).all()
+    assert (bits(u[~blank])
+            == bits(_exp_signed(want_sign, want_log)[~blank])).all()
+    assert blank.any() == (seq != "pow:alpha=0.5")
 
 
 def test_analyze_custom_init_and_alpha(tmp_path):
@@ -306,6 +359,16 @@ def table_paths(tmp_path):
     (["transform", "flip", "--seq", "const", "--n", "1" + "0" * 15], 3),
     (["check", "--theorem", "B", "--seq", "const", "--n", "1" + "0" * 15], 3),
     (["spectrum", "--seq", "const", "--size", "1" + "0" * 15], 3),
+    # a sequence where the rates are read, and rates where the sequence is
+    (["check", "--theorem", "51", "--seq", "const", "--bd",
+      "lam=linear,mu=linear", "--n", "200"], 2),
+    (["transform", "bd", "--seq", "const", "--bd", "lam=linear,mu=linear",
+      "--n", "5"], 2),
+    *[(["check", "--theorem", theorem, "--seq", "const", "--rates",
+        "lam=linear,mu=linear", "--n", "200"], 2)
+      for theorem in ("A", "B", "C", "42", "43")],
+    *[(["transform", kind, "--seq", "const", "--bd", "lam=linear,mu=linear",
+        "--n", "5"], 2) for kind in ("flip", "even", "odd")],
     # an option the spectrum mode would ignore
     (["spectrum", "--seq", "const", "--size", "5", "--bin", "0.1"], 2),
     (["spectrum", "--seq", "const", "--size", "5", "--window=0,1",
