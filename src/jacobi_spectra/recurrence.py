@@ -96,8 +96,7 @@ def _write_columns(path, header, *columns, blank=None):
     from . import _cells  # its tables are built at the first write
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for block in _cells.rows(columns, blank):
-            fh.write(block)
+        fh.writelines(_cells.rows(columns, blank))
 
 
 @dataclass(frozen=True)
