@@ -20,7 +20,8 @@ exponential eigenvector growth is harmless.
 The theorem checkers grade *numerical evidence* for asymptotic hypotheses
 (summability, divergence, limits).  They cannot prove anything; verdicts
 are pass / fail / inconclusive with the thresholds documented at the
-module constants ``SUMMABLE_DECREASE`` .. ``LIMSUP_MARGIN``.
+module constants ``SUMMABLE_DECREASE`` .. ``LIMSUP_MARGIN``, beside
+``F_EXCLUSION``, the near-zero cut below which F(n) is not formed.
 
 Float policy of the checkers: a term beyond binary64 is graded as its
 IEEE value, with no numpy warning.  1/inf is 0.0 (the true term is below
@@ -78,9 +79,9 @@ class DiagnosticsTrace:
 
     All S values are scale-free ratios S(n)/Shat(n); the raw magnitude is
     recoverable through ``log_shat`` while it stays representable.  ``F``
-    is (S(n+1) - S(n))/S(n) and is NaN at its final index and wherever the
-    near-zero exclusion rule applied.  ``states`` is the propagation it
-    was computed from, which :func:`recurrence.write_trace_csv` writes.
+    is (S(n+1) - S(n))/S(n) and is NaN at its final index and where
+    |S(n)| < ``F_EXCLUSION`` a(n) alpha(n).  ``states`` is the propagation
+    it was computed from, which :func:`recurrence.write_trace_csv` writes.
     """
 
     lam: float
@@ -147,7 +148,7 @@ def _check_finite(a, al, lam_b, factors):
                float(lam_b[i])))
 
 
-def s_sequence(seq, alpha, lam, init, n_max, f_exclusion=1e-12):
+def s_sequence(seq, alpha, lam, init, n_max):
     """Compute the diagnostics trace for n = 1 .. n_max.
 
     Both closed forms of S(n) are evaluated: the (u(n), u(n+1)) form
@@ -205,7 +206,7 @@ def s_sequence(seq, alpha, lam, init, n_max, f_exclusion=1e-12):
     # F(n) = S(n+1)/S(n) - 1 with the Shat rescaling between steps; the
     # comparison is negated so that a NaN S(n) is kept, not excluded
     F = np.full(N, np.nan)
-    kept = np.flatnonzero(~(np.abs(s32[:-1]) < f_exclusion * a_alpha[:-1]))
+    kept = np.flatnonzero(~(np.abs(s32[:-1]) < F_EXCLUSION * a_alpha[:-1]))
     log_growth = log_shat[kept + 1] - log_shat[kept]
     over = log_growth > _LOG_HUGE
     if over.any():
@@ -287,7 +288,10 @@ class ConditionVerdict:
 # when it is at most 1/SUMMABLE_DECREASE and the log-log slope of its terms
 # is at most SUMMABLE_SLOPE.  Window maxima grade growth (GROWTH_FACTOR) and
 # flatness (FLAT_FACTOR), and the tail's oscillation grades a limit
-# (LIMIT_OSC_TOL) and its maximum a limsup (LIMSUP_MARGIN).
+# (LIMIT_OSC_TOL) and its maximum a limsup (LIMSUP_MARGIN).  F(n) of the
+# S sequence is not formed where |S(n)| < F_EXCLUSION a(n) alpha(n): that
+# ratio is rounding noise, and F would blow up the sum of its negative parts.
+F_EXCLUSION = 1e-12
 SUMMABLE_DECREASE = 1.25
 SUMMABLE_SLOPE = -1.1
 DIVERGENT_RATIO = 0.98
@@ -354,9 +358,10 @@ def _grade_summable(terms, first=0):
     return INCONCLUSIVE, evidence
 
 
-def _grade_divergent(terms):
-    """Evidence verdict for sum(terms) = infinity (terms >= 0 from n = 0)."""
-    verdict, evidence = _grade_summable(terms)
+def _negated(grade):
+    """The (verdict, evidence) of the negated hypothesis: divergence as
+    not summable, boundedness as not growing to infinity."""
+    verdict, evidence = grade
     flipped = {PASS: FAIL, FAIL: PASS, INCONCLUSIVE: INCONCLUSIVE}[verdict]
     return flipped, evidence
 
@@ -367,16 +372,6 @@ def _grade_growth_to_inf(values):
     if m1 > 0.0 and m2 >= GROWTH_FACTOR * m1:
         return PASS, evidence
     if m2 <= FLAT_FACTOR * m1:
-        return FAIL, evidence
-    return INCONCLUSIVE, evidence
-
-
-def _grade_bounded(values):
-    m1, m2 = _window_maxima(np.abs(values))
-    evidence = {"window_maxima": [m1, m2]}
-    if m2 == 0.0 or (m1 > 0.0 and m2 <= FLAT_FACTOR * m1):
-        return PASS, evidence
-    if m1 > 0.0 and m2 >= GROWTH_FACTOR * m1:
         return FAIL, evidence
     return INCONCLUSIVE, evidence
 
@@ -453,7 +448,7 @@ def check_theorem_A(seq, alpha, n_max):
             ConditionVerdict("ThmA.b", *_grade_summable(terms_b, first=1)),
             ConditionVerdict("ThmA.c", *_grade_summable(terms_c, first=1)),
             ConditionVerdict("ThmA.d", *_grade_summable(terms_d, first=1)),
-            ConditionVerdict("ThmA.e", *_grade_divergent(terms_e)),
+            ConditionVerdict("ThmA.e", *_negated(_grade_summable(terms_e))),
             ConditionVerdict("ThmA.f", *_grade_limit(ratio_f, target=1.0)),
             ConditionVerdict("ThmA.g", *_grade_b_over_a(a, b, N)),
         ]
@@ -471,7 +466,7 @@ def check_corollary_B(seq, n_max):
 
         return [
             ConditionVerdict("CorB.a", *_grade_growth_to_inf(a[: N + 1])),
-            ConditionVerdict("CorB.b", *_grade_divergent(terms_b)),
+            ConditionVerdict("CorB.b", *_negated(_grade_summable(terms_b))),
             ConditionVerdict("CorB.c", *_grade_summable(terms_c)),
             ConditionVerdict("CorB.d", *_grade_b_over_a(a, b, N)),
             ConditionVerdict("CorB.e", *_grade_summable(terms_e)),
@@ -497,7 +492,8 @@ def _grade_slow_growth(a, N, prefix):
     terms_c = negative_part(a[1: N + 2] / a[: N + 1] - 1.0)
     return [
         ConditionVerdict(prefix + ".a", *_grade_growth_to_inf(a[: N + 1])),
-        ConditionVerdict(prefix + ".b", *_grade_divergent(1.0 / a[: N + 1])),
+        ConditionVerdict(prefix + ".b",
+                         *_negated(_grade_summable(1.0 / a[: N + 1]))),
         ConditionVerdict(prefix + ".c", *_grade_summable(terms_c)),
     ]
 
@@ -548,7 +544,8 @@ def check_theorem_42(seq, n_max):
 
         return [
             ConditionVerdict("Thm42.a", *_grade_growth_to_inf(a[: N + 1])),
-            ConditionVerdict("Thm42.b", *_grade_divergent(1.0 / a[: N + 1])),
+            ConditionVerdict("Thm42.b",
+                             *_negated(_grade_summable(1.0 / a[: N + 1]))),
             ConditionVerdict("Thm42.c", bv_verdict,
                              {k: {"verdict": g[0], **g[1]}
                               for k, g in bv_grades.items()}),
@@ -556,18 +553,21 @@ def check_theorem_42(seq, n_max):
         ]
 
 
-def check_theorem_43(seq, K, n_max, n_start=None):
+def check_theorem_43(seq, K, n_max):
     """Iterated-log envelope hypotheses.
 
     The envelope slack c(n) is reconstructed as the positive excess of
     a(n)/a(n-1) outside [1 - c, 1 + 1/n + sum_j 1/(n g_j(n)) + c] and its
-    summability graded.
+    summability graded from n_start = max(2, n_K) on, n_K the first index
+    where every iterated log in g_K(n) is positive; boundedness of b(n) is
+    graded as the negation of |b(n)| -> inf.
     """
+    n_start = None
+
     def check_start(N):
         nonlocal K, n_start
         K = int(K)
-        if n_start is None:
-            n_start = max(2, _first_iterlog_valid(K))
+        n_start = max(2, _first_iterlog_valid(K))
         if n_start > N:
             raise DomainError("the K=%d envelope starts at n=%d, past n_max=%d"
                               % (K, n_start, N))
@@ -581,8 +581,9 @@ def check_theorem_43(seq, K, n_max, n_start=None):
         slack = np.maximum(0.0, np.maximum(1.0 - ratio, ratio - envelope))
 
         terms_bv = np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1]
-        c_grades = {"bounded": _grade_bounded(b[: N + 1]),
-                    "bv": _grade_summable(terms_bv)}
+        c_grades = {
+            "bounded": _negated(_grade_growth_to_inf(np.abs(b[: N + 1]))),
+            "bv": _grade_summable(terms_bv)}
         c_verdict = overall_verdict(
             [ConditionVerdict(k, *g) for k, g in c_grades.items()])
 

@@ -37,7 +37,6 @@ __all__ = [
     "poly_eval",
     "poly_init",
     "l2_partial_sums",
-    "log_l2_partial_sums",
     "write_trace_csv",
 ]
 
@@ -221,28 +220,14 @@ def poly_eval(seq, lam, n_max):
     return PolyTrace(lam, *_sign_log_abs(x, logscale))
 
 
-def log_l2_partial_sums(log_abs):
-    """log of the running sums of u(n)**2 from log|u(n)| values.
-
-    Uses log-sum-exp accumulation, so the result is exactly nondecreasing
-    and survives arbitrarily large magnitudes.  -inf entries (exact zeros)
-    contribute nothing.
-    """
-    log_abs = np.asarray(log_abs, dtype=float)
-    return np.logaddexp.accumulate(2.0 * log_abs)
-
-
-def l2_partial_sums(trace, n_max=None):
+def l2_partial_sums(trace):
     """Running sums of p(n)**2 (log form) for a :class:`PolyTrace`.
 
-    Returns an array L with L[m] = log(sum over n <= m of p(n)**2).
+    Returns an array L with L[m] = log(sum over n <= m of p(n)**2).  The
+    log-sum-exp accumulation makes L exactly nondecreasing at any
+    magnitude; exact zeros (log|p| = -inf) contribute nothing.
     """
-    log_abs = trace.log_abs
-    if n_max is not None:
-        if len(log_abs) < n_max + 1:
-            raise DomainError("trace shorter than requested length")
-        log_abs = log_abs[: n_max + 1]
-    return log_l2_partial_sums(log_abs)
+    return np.logaddexp.accumulate(2.0 * trace.log_abs)
 
 
 def write_trace_csv(path, states):

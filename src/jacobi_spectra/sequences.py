@@ -235,10 +235,9 @@ class SequencePair(_Sequences):
         return self._values("b", start, stop)
 
     @classmethod
-    def from_table(cls, a_values, b_values=None, name="table"):
+    def from_table(cls, a_values, b_values, name="table"):
         a_values = np.array(a_values, dtype=float)
-        b_values = np.array(np.zeros(len(a_values)) if b_values is None
-                            else b_values, dtype=float)
+        b_values = np.array(b_values, dtype=float)
         if len(b_values) != len(a_values):
             raise DomainError("a and b tables must have equal length")
         return cls.from_builders(_slices(a_values), _slices(b_values),
@@ -281,17 +280,11 @@ class WeightSequence(_Sequences):
                                  length=len(values))
 
     @classmethod
-    def iterlog_weight(cls, seq, K, cutoff=None):
-        """alpha(n) = n*g_K(n)/a(n) past a cutoff, 1 below it.
-
-        The cutoff defaults to the first index where every iterated log in
-        g_K is positive.
-        """
+    def iterlog_weight(cls, seq, K):
+        """alpha(n) = n*g_K(n)/a(n) from the cutoff on, 1 below it; the
+        cutoff is the first n where every iterated log in g_K is positive."""
         K = int(K)
-        if K < 0:
-            raise DomainError("K must be >= 0")
-        if cutoff is None:
-            cutoff = _first_iterlog_valid(K)
+        cutoff = _first_iterlog_valid(K)
 
         def build(lo, hi):
             values, first = np.ones(hi - lo), max(lo, cutoff)

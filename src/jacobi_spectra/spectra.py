@@ -422,9 +422,10 @@ def density_report(seq, order, window, bin_width):
     if not math.isfinite(bins):
         raise DomainError("window width / bin width = %r is not a bin count"
                           % bins)
-    n_bins = int(math.ceil(bins))
-    if n_bins > _MAX_BINS:
-        raise DomainError("%d bins exceed the limit of %d" % (n_bins, _MAX_BINS))
+    n_bins = math.ceil(bins)
+    if bins > _MAX_BINS:
+        raise DomainError("%.6g bins exceed the limit of %d"
+                          % (n_bins, _MAX_BINS))
     t = truncate(seq, order)
     edges = x_lo + bin_width * np.arange(n_bins + 1)
     counts = _sturm_counts(t)(edges)
@@ -462,12 +463,14 @@ def _gauss_weights(t, nodes):
     # last index is well-defined
     a = np.concatenate((t.offdiag, [1.0]))
     b = t.diag
-    x, y = np.ones(len(nodes)), (nodes - b[0]) / a[0]
-    s, c = x.copy(), np.zeros(len(nodes))
+    s, c = np.ones(len(nodes)), np.zeros(len(nodes))
     e = np.zeros(len(nodes), dtype=np.int64)
     # far from the spectrum a weight, or a shrinking pair, underflows to 0
-    # on purpose, even where the caller traps underflow
-    with np.errstate(under="ignore"):
+    # on purpose, even where the caller traps underflow; a ratio past
+    # binary64 (a subnormal a(n)) turns into NaN weights, which the caller's
+    # weight-sum check reports as its one error
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        x, y = s.copy(), (nodes - b[0]) / a[0]
         for n in range(1, t.order):
             k = -np.maximum(np.frexp(y)[1], 0)
             e -= k

@@ -276,6 +276,11 @@ def table_paths(tmp_path):
       "--bin", "0.5"], 2),
     (["spectrum", "--seq", "const", "--size", "10", "--window=0,1e300",
       "--bin", "1e-300"], 3),
+    # a(0) = eps is subnormal: (x - b(0))/a(0) overflows in the weights
+    (["spectrum", "--seq", "paired:eps=1e-320,inner=const", "--size", "7",
+      "--weights"], 3),
+    (["spectrum", "--seq", "paired:eps=5e-324,inner=chihara", "--size", "7",
+      "--weights"], 3),
     (["check", "--theorem", "A", "--seq", "const", "--alpha",
       "table:{missing}", "--n", "200"], 2),
     (["check", "--theorem", "A", "--seq", "const", "--alpha", "iterlog:x",
@@ -383,6 +388,27 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert list((tmp_path / "out").glob("*.csv")) == []
+
+
+# the same rule, with the whole line checked
+@pytest.mark.parametrize("argv, line", [
+    (["spectrum", "--seq", "const", "--size", "3", "--window=0,1",
+      "--bin", "1e-300"], "1e+300 bins exceed the limit of 100000"),
+    (["spectrum", "--seq", "const", "--size", "3", "--window=0,1",
+      "--bin", "9.99e-6"], "100101 bins exceed the limit of 100000"),
+    (["spectrum", "--seq", "const", "--size", "10", "--window=0,1e300",
+      "--bin", "1e-300"], "window width / bin width = inf is not a bin count"),
+    (["spectrum", "--seq", "paired:eps=1e-320,inner=const", "--size", "7",
+      "--weights"], "Gauss weights sum to nan, not 1 within 1e-06"),
+    (["check", "--theorem", "A", "--seq", "const", "--alpha", "iterlog:-1",
+      "--n", "200"], "iterated-log order must be >= 0, got -1"),
+])
+def test_bad_input_error_line(argv, line, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: " + line]
     assert list((tmp_path / "out").glob("*.csv")) == []
 
 

@@ -66,7 +66,9 @@ def specs(draw):
             ["const", "pow:alpha=0.5", "chihara", "factorial-staircase",
              "paired:eps=0.01,inner=pow,alpha=1", "iterlog:k=1,m=16",
              "pow-shifted:alpha=0.5", "iterlog:k=2,m=2", "pow:alpha=400",
-             "pow-shifted:alpha=-0.5", "pow:alpha=1" + "0" * 400]))
+             "pow-shifted:alpha=-0.5", "pow:alpha=1" + "0" * 400,
+             "paired:eps=1e-320,inner=const",
+             "paired:eps=5e-324,inner=chihara"]))
     if kind < 7:
         return "table:" + draw(st.sampled_from(PATHS))
     if kind < 9:

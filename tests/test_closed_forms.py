@@ -9,6 +9,14 @@ measures, each given here by its distribution function F(x) = mu((-inf, x]):
 * the birth-death rates ``lam=linear,mu=linear`` through ``bd_to_jacobi``
   (a(n) = n + 1, b(n) = -(2n + 1)): the Laguerre density exp(x) on x <= 0.
 
+For b == 0 the even and odd restrictions of the square (``square_even``,
+``square_odd``) have closed forms too.  With mu the measure at e_0,
+<e_0, E^k e_0> is the integral of x**(2k), so E's measure is the
+push-forward of mu under x -> x**2: F_e(y) = 2 F(sqrt y) - 1.  The odd
+restriction starts at e_1 = p_1(J) e_0 with p_1(x) = x/a(0), so
+F_o(y) = integral over [-sqrt y, sqrt y] of (x/a(0))**2 dmu; for ``const``
+that is s (s**2 - 2) sqrt(4 - s**2) / (4 pi) + (2/pi) arcsin(s/2), s = sqrt y.
+
 The N-point Gauss rule brackets F at each node exactly, at every N
 (Chebyshev-Markov-Stieltjes): sum_{i<j} w_i <= F(x_j) <= sum_{i<=j} w_i.
 For ``const`` with unit weights and the polynomial start, S(n) is the
@@ -20,11 +28,12 @@ import pytest
 
 from jacobi_spectra import (WeightSequence, bd_to_jacobi, eigenvalues,
                             instantiate, parse_rates, poly_init, s_sequence,
-                            truncate)
+                            square_even, square_odd, truncate)
 from jacobi_spectra.cli import main
 
 # the largest violation measured over the three families at N <= 2000 is
-# 1.44e-15 (pow:alpha=1, N = 2000): the rounding of the summed weights
+# 1.44e-15 (pow:alpha=1, N = 2000), and over the squares below 1.55e-15
+# (square_even(pow:alpha=1), N = 60): the rounding of the summed weights
 CMS_TOL = 16 * np.finfo(float).eps
 
 
@@ -42,6 +51,17 @@ def _sech(x):
 
 def _laguerre(x):
     return np.exp(np.minimum(x, 0.0))
+
+
+def _even_square(cdf):
+    """F_e(y) = 2 F(sqrt y) - 1 of a measure F symmetric about 0."""
+    return lambda y: 2.0 * cdf(np.sqrt(np.maximum(y, 0.0))) - 1.0
+
+
+def _odd_square_semicircle(y):
+    s = np.sqrt(np.clip(y, 0.0, 4.0))
+    return (s * (s * s - 2.0) * np.sqrt(4.0 - s * s) / (4 * np.pi)
+            + (2 / np.pi) * np.arcsin(s / 2))
 
 
 FAMILIES = {
@@ -65,6 +85,30 @@ def _assert_cms_bracket(nodes, weights, cdf):
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_gauss_rule_brackets_the_measure(family, N):
     make, cdf = FAMILIES[family]
+    spectrum = eigenvalues(truncate(make(), N), weights=True)
+    _assert_cms_bracket(spectrum.eigenvalues, spectrum.weights, cdf)
+
+
+SQUARES = {
+    "square_even(const)": (lambda: square_even(instantiate("const")),
+                           _even_square(_semicircle)),
+    "square_odd(const)": (lambda: square_odd(instantiate("const")),
+                          _odd_square_semicircle),
+    "square_even(pow:alpha=1)": (
+        lambda: square_even(instantiate("pow:alpha=1")), _even_square(_sech)),
+}
+
+
+# square_even(pow:alpha=1) only at small N: at N = 500 and 2000 its weights
+# sum to 1 - 5e-14 and 1 - 3.9e-9, the deficit all in the lowest nodes
+@pytest.mark.parametrize("family, N", [
+    *[(family, N) for family in ("square_even(const)", "square_odd(const)")
+      for N in (10, 60, 500, 2000)],
+    ("square_even(pow:alpha=1)", 10),
+    ("square_even(pow:alpha=1)", 60),
+])
+def test_gauss_rule_brackets_the_square_measures(family, N):
+    make, cdf = SQUARES[family]
     spectrum = eigenvalues(truncate(make(), N), weights=True)
     _assert_cms_bracket(spectrum.eigenvalues, spectrum.weights, cdf)
 

@@ -25,6 +25,7 @@ from jacobi_spectra import (
     verdicts_to_json,
     w_bounds,
 )
+from jacobi_spectra import diagnostics
 from jacobi_spectra.diagnostics import (
     ConditionVerdict,
     negative_part,
@@ -149,13 +150,15 @@ def _s_sequence_reference(seq, alpha, lam, init, N, f_exclusion):
                                   "paired:eps=0.01,inner=pow,alpha=1"])
 @pytest.mark.parametrize("lam", [-1.5, 0.0, 0.7, 3.0])
 @pytest.mark.parametrize("choice", ["a", "one"])
-def test_s_sequence_bitwise_matches_scalar_reference(text, lam, choice):
+def test_s_sequence_bitwise_matches_scalar_reference(text, lam, choice,
+                                                     monkeypatch):
     seq = instantiate(text)
     alpha = alpha_a(seq) if choice == "a" else WeightSequence.ones()
     init = poly_init(seq, lam)
-    # f_exclusion = 0.5 excludes part of the entries; 1e-12 is the default
+    # F_EXCLUSION = 0.5 excludes part of the entries; 1e-12 is the constant
     for f_exclusion in (1e-12, 0.5):
-        trace = s_sequence(seq, alpha, lam, init, 300, f_exclusion=f_exclusion)
+        monkeypatch.setattr(diagnostics, "F_EXCLUSION", f_exclusion)
+        trace = s_sequence(seq, alpha, lam, init, 300)
         ref = _s_sequence_reference(seq, alpha, lam, init, 300, f_exclusion)
         assert trace.lam == lam
         assert trace.excluded == ref.pop("excluded")
@@ -226,10 +229,10 @@ def test_s_sequence_keeps_its_propagation_states(text, lam, init, tmp_path):
             assert p.signs[1::2].tolist() == [0] * (N // 2)
 
 
-def test_s_sequence_exclusion_case_excludes_some_entries():
+def test_s_sequence_exclusion_case_excludes_some_entries(monkeypatch):
     seq = instantiate("const")
-    trace = s_sequence(seq, alpha_a(seq), -1.5, poly_init(seq, -1.5), 300,
-                       f_exclusion=0.5)
+    monkeypatch.setattr(diagnostics, "F_EXCLUSION", 0.5)
+    trace = s_sequence(seq, alpha_a(seq), -1.5, poly_init(seq, -1.5), 300)
     assert 0 < trace.excluded < 299
     assert np.sum(np.isnan(trace.F)) == trace.excluded + 1
 
