@@ -16,59 +16,15 @@ Submodules:
 """
 
 from .errors import JacobiError, ParseError, DomainError
-from .sequences import (
-    SequencePair,
-    WeightSequence,
-    FamilySpec,
-    parse_family,
-    render_family,
-    instantiate,
-    iterlog_g,
-    iterlog_g_prime,
-)
-from .recurrence import (
-    EigvecInit,
-    PropagationState,
-    PolyTrace,
-    propagate,
-    poly_eval,
-    poly_init,
-    l2_partial_sums,
-)
-from .diagnostics import (
-    DiagnosticsTrace,
-    ConditionVerdict,
-    s_sequence,
-    w_bounds,
-    liminf_estimate,
-    check_theorem_A,
-    check_corollary_B,
-    check_corollary_C,
-    check_theorem_42,
-    check_theorem_43,
-    overall_verdict,
-    verdicts_to_json,
-)
-from .spectra import (
-    Truncation,
-    TruncationSpectrum,
-    truncate,
-    sturm_count,
-    eigenvalues,
-    density_report,
-)
-from .transforms import (
-    BirthDeathRates,
-    PiWeights,
-    flip,
-    shift,
-    square_even,
-    square_odd,
-    bd_to_jacobi,
-    bd_interleaved,
-    bd_square_root_route,
-    bd_check_theorem_51,
-    parse_rates,
-)
+# the package's public names are each module's __all__
+from .sequences import *  # noqa: F401,F403
+from .recurrence import *  # noqa: F401,F403
+from .diagnostics import *  # noqa: F401,F403
+from .spectra import *  # noqa: F401,F403
+from .transforms import *  # noqa: F401,F403
+
+# recurrence and diagnostics both declare write_trace_csv: it stays
+# module-qualified
+del write_trace_csv  # noqa: F821
 
 __version__ = "0.1.0"

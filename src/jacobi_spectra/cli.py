@@ -65,7 +65,7 @@ def _resolve_alpha(choice, seq):
         return WeightSequence.iterlog_weight(seq, K)
     if name == "table" and sep:
         (values,) = _read_table(arg, "alpha table", 1)
-        return WeightSequence.from_table(values)
+        return WeightSequence.from_table(values, name="table:%s" % arg)
     raise ParseError("unknown alpha choice %r" % choice)
 
 

@@ -158,9 +158,10 @@ def s_sequence(seq, alpha, lam, init, n_max):
 
     The state-free factors of both forms and the w-bounds are checked
     before any arithmetic on the states, and the growth of Shat from n to
-    n + 1 before F is scaled by it: a :class:`DomainError` names the first
-    n where one of them is beyond binary64.  A non-finite state (from a
-    NaN or infinite ``init``) is carried through as NaN.
+    n + 1 and the running sum of 1/(a(n) alpha(n)) before F is formed: a
+    :class:`DomainError` names the first n where one of them is beyond
+    binary64.  A non-finite state (from a NaN or infinite ``init``) is
+    carried through as NaN.
     """
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
@@ -212,6 +213,9 @@ def s_sequence(seq, alpha, lam, init, n_max):
     if over.any():
         raise DomainError("diagnostics overflow at n = %d: Shat(n+1)/Shat(n) "
                           "is beyond binary64" % (kept[np.argmax(over)] + 1))
+    with np.errstate(all="ignore"):
+        sum_inv_a_alpha = np.cumsum(1.0 / a_alpha)
+    _check_finite(a, al, lam_b, [("sum_inv_a_alpha(n)", sum_inv_a_alpha)])
     growth = _elementwise(math.exp, log_growth)
     F[kept] = (s32[kept + 1] * growth) / s32[kept] - 1.0
 
@@ -227,7 +231,7 @@ def s_sequence(seq, alpha, lam, init, n_max):
         w_max=w_hi,
         F=F,
         sum_F_minus=np.cumsum(negative_part(F)),
-        sum_inv_a_alpha=np.cumsum(1.0 / a_alpha),
+        sum_inv_a_alpha=sum_inv_a_alpha,
         excluded=N - 1 - len(kept),
     )
 

@@ -621,12 +621,13 @@ def _read_table(path, what, required, optional=0):
     A row holds ``required`` values and up to ``optional`` more, a missing
     one read as 0.  Rows whose first cell is empty or ``n`` or starts with
     ``#`` are skipped; the others may come in any order, but their n must
-    be 0..m-1, each once.  A malformed, unreadable or non-UTF-8 file is a
-    ParseError, an empty table a DomainError.
+    be 0..m-1, each once.  The file is UTF-8, with or without a byte-order
+    mark.  A malformed, unreadable or non-UTF-8 file is a ParseError, an
+    empty table a DomainError.
     """
     width, rows = 1 + required + optional, []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             for row in csv.reader(fh):
                 first = row[0].strip() if row else ""
                 if first.lower() in ("", "n") or first.startswith("#"):

@@ -240,6 +240,9 @@ TABLES = {
     # a(3)/a(2) = 1e-200: Shat(3)/Shat(2) is about 1e400
     "drop": "".join("%d,%s,0\n" % (n, 1 if n < 3 else 1e-200)
                     for n in range(60)),
+    # a(n) alpha(n) = 1e-308 from n = 1 on: the running sum of its inverse
+    # passes binary64 at n = 2, every factor before it is finite
+    "inv_sum": "0,1,0\n" + "".join("%d,1e-154,0\n" % n for n in range(1, 60)),
     # a(1)/a(0) = 1e200, whose square is beyond binary64
     "huge_ratio": "0,1e-100,0\n1,1e100,0\n"
                   + "".join("%d,%d,0\n" % (n, n) for n in range(2, 400)),
@@ -357,6 +360,9 @@ def table_paths(tmp_path):
     # a(n) alpha(n) = (n+1)**200 overflows from n = 34 on
     (["analyze", "--seq", "pow:alpha=100", "--n", "50"], 3),
     (["analyze", "--seq", "table:{drop}", "--n", "50"], 3),
+    # a(n) alpha(n) = (n+1)**-400 is below 1/DBL_MAX from n = 5 on: the sum
+    # of its inverse overflows there, and F would divide 0/0 where it is 0
+    (["analyze", "--seq", "pow:alpha=-200", "--n", "40"], 3),
     # both lams name the same pair of files
     (["analyze", "--seq", "const", "--lambda", "0.5,0.5", "--n", "20"], 2),
     # arrays of 10**15 floats (over 8 PB) cannot be allocated: numpy fails
@@ -403,8 +409,23 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
       "--weights"], "Gauss weights sum to nan, not 1 within 1e-06"),
     (["check", "--theorem", "A", "--seq", "const", "--alpha", "iterlog:-1",
       "--n", "200"], "iterated-log order must be >= 0, got -1"),
+    (["analyze", "--seq", "pow:alpha=-200", "--n", "5"],
+     "diagnostics overflow at n = 5: sum_inv_a_alpha(n) is inf, with a(4) = "
+     "1.6069380442589902e-140, a(5) = 2.3428793431392825e-156, alpha(4) = "
+     "1.6069380442589902e-140, alpha(5) = 2.3428793431392825e-156 and "
+     "lam - b(5) = 0.0"),
+    (["analyze", "--seq", "table:{inv_sum}", "--n", "50"],
+     "diagnostics overflow at n = 2: sum_inv_a_alpha(n) is inf, with a(1) = "
+     "1e-154, a(2) = 1e-154, alpha(1) = 1e-154, alpha(2) = 1e-154 and "
+     "lam - b(2) = 0.0"),
+    # an alpha table is named by its path, like the other tables
+    (["check", "--theorem", "A", "--seq", "const", "--alpha",
+      "table:{short}", "--n", "200"],
+     "weight table 'table:{short}' has 3 entries, alpha(3) requested"),
 ])
 def test_bad_input_error_line(argv, line, tmp_path, capsys):
+    paths = table_paths(tmp_path)
+    argv, line = [a.format(**paths) for a in argv], line.format(**paths)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv + ["--out", str(tmp_path / "out")]) == 3
@@ -485,14 +506,18 @@ def test_table_with_nonfinite_b_exits_3(argv, tmp_path, capsys):
 def test_alpha_table_rows_may_come_in_any_order(tmp_path):
     rows = ["%d,%r\n" % (n, (n + 1) ** 0.5) for n in range(400)]
     reports = []
-    for name, lines in (("sorted", rows), ("reversed", rows[::-1])):
-        (tmp_path / (name + ".csv")).write_text("n,alpha\n" + "".join(lines))
+    # a UTF-8 byte-order mark, as a spreadsheet writes, reads the same
+    for name, lines in (("sorted", ["n,alpha\n"] + rows),
+                        ("reversed", ["n,alpha\n"] + rows[::-1]),
+                        ("bom", ["\ufeffn,alpha\n"] + rows)):
+        (tmp_path / (name + ".csv")).write_text("".join(lines),
+                                                encoding="utf-8")
         out = tmp_path / name
         assert run(["check", "--theorem", "A", "--seq", "pow:alpha=0.5",
                     "--alpha", "table:" + str(tmp_path / (name + ".csv")),
                     "--n", "300", "--out", str(out)]) == 0
         reports.append((out / "verdict.json").read_text())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_density_through_exact_zero_pivots_is_silent(tmp_path, capsys):

@@ -34,12 +34,16 @@ TABLES = {
                                       for n in range(400)),
     "rates_short": "0,1,0\n1,2\n",
     "gap": "0,1\n1,2\n3,5\n",
+    # a UTF-8 byte-order mark before the header, as a spreadsheet writes
+    "bom": "\ufeffn,a,b\n" + "".join("%d,%d,0\n" % (n, n + 1)
+                                     for n in range(400)),
     # a(1)/a(0) = 1e600 overflows and a(0)**2 = 1e-600 underflows to 0
     "tiny": "0,1e-300,0\n1,1e300,0\n"
             + "".join("%d,%d,0\n" % (n, n) for n in range(2, 400)),
 }
 for _name, _text in TABLES.items():
-    with open(os.path.join(FIXTURES.name, _name + ".csv"), "w") as _fh:
+    with open(os.path.join(FIXTURES.name, _name + ".csv"), "w",
+              encoding="utf-8") as _fh:
         _fh.write(_text)
 with open(os.path.join(FIXTURES.name, "binary.csv"), "wb") as _fh:
     _fh.write(b"0,1\n\xff\xfe,2\n")  # not UTF-8
@@ -68,7 +72,7 @@ def specs(draw):
              "pow-shifted:alpha=0.5", "iterlog:k=2,m=2", "pow:alpha=400",
              "pow-shifted:alpha=-0.5", "pow:alpha=1" + "0" * 400,
              "paired:eps=1e-320,inner=const",
-             "paired:eps=5e-324,inner=chihara"]))
+             "paired:eps=5e-324,inner=chihara", "pow:alpha=-200"]))
     if kind < 7:
         return "table:" + draw(st.sampled_from(PATHS))
     if kind < 9:

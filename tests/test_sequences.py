@@ -302,9 +302,11 @@ def test_iterlog_g_prime_finite_difference(K, x):
 # --- table loading ---------------------------------------------------------
 
 
-def test_load_table_sorts_and_defaults_b(tmp_path):
+# a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+def test_load_table_sorts_and_defaults_b(bom, tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("n,a\n1,2.0\n0,1.0\n2,3.0\n")
+    p.write_text(bom + "n,a\n1,2.0\n0,1.0\n2,3.0\n", encoding="utf-8")
     seq = load_table(str(p))
     assert seq.a_array(3).tolist() == [1.0, 2.0, 3.0]
     assert seq.b_array(3).tolist() == [0.0, 0.0, 0.0]

@@ -234,9 +234,12 @@ def test_parse_rates_strips_prefix():
     assert rates.mu(3) == 3.0
 
 
-def test_load_rates_csv(tmp_path):
+# a UTF-8 byte-order mark, as a spreadsheet writes, reads the same
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+def test_load_rates_csv(bom, tmp_path):
     p = tmp_path / "rates.csv"
-    p.write_text("n,lambda,mu\n1,2.0,1.0\n0,1.0,0.0\n2,3.0,2.0\n")
+    p.write_text(bom + "n,lambda,mu\n1,2.0,1.0\n0,1.0,0.0\n2,3.0,2.0\n",
+                 encoding="utf-8")
     rates = load_rates_csv(str(p))
     assert rates.lam(0) == 1.0
     assert rates.mu(2) == 2.0
