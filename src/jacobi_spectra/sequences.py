@@ -93,12 +93,6 @@ def _per_index(fn):
     return lambda lo, hi: _elementwise(fn, range(lo, hi))
 
 
-def _slices(values):
-    """The builder of a finite table held in a float array: read-only views."""
-    values.setflags(write=False)
-    return lambda lo, hi: values[lo:hi]
-
-
 def _positive(values, lo):
     return (values > 0.0) & (values < np.inf)
 
@@ -159,16 +153,15 @@ class _Sequences:
     A subclass is data.  ``_rules`` maps each label, in constructor order,
     to ``(valid, reject)``: ``valid(values, lo)`` marks the good entries of
     a range that starts at ``lo``, and ``reject(n, value, name)`` words the
-    first bad one.  ``_past_end`` words the first index past ``length``,
-    which is None for an infinite sequence and the size of a finite one.
-    The constructor takes one per-index callable fn(n) per label and
-    :meth:`from_builders` one builder per label.
+    first bad one.  Only a table has a ``length``, and ``_past_end`` words a
+    read past it; a derived sequence ends where the entries it reads end.
+    The constructor takes fn(n), :meth:`from_builders` a builder and
+    :meth:`from_table` a column of values, one per label.
     """
 
     name = "custom"
     _rules = {}
-    _past_end = ("index %(n)d out of range for finite sequence of "
-                 "length %(length)d")
+    _past_end = "%(label)s(%(n)d) requested from %(name)r of length %(length)d"
 
     def __init__(self, *fns, name=None, length=None):
         self._build = dict(zip(self._rules, map(_per_index, fns), strict=True))
@@ -181,6 +174,21 @@ class _Sequences:
         seqs = cls(*builders, name=name, length=length)
         seqs._build = dict(zip(cls._rules, builders))    # not per-index
         return seqs
+
+    @classmethod
+    def from_table(cls, *columns, name="table"):
+        """The finite sequence with one column of values per label."""
+        if len(columns) != len(cls._rules):
+            raise TypeError("%s.from_table takes %d columns, got %d"
+                            % (cls.__name__, len(cls._rules), len(columns)))
+        columns = [np.array(values, dtype=float) for values in columns]
+        if len({len(values) for values in columns}) > 1:
+            raise DomainError("%s tables must have equal length"
+                              % " and ".join(cls._rules))
+        for values in columns:
+            values.setflags(write=False)    # the builders hand out views
+        builders = [lambda lo, hi, v=values: v[lo:hi] for values in columns]
+        return cls.from_builders(*builders, name=name, length=len(columns[0]))
 
     def _values(self, label, lo, hi):
         """Entries lo..hi-1 of ``label``: the finite part is read and checked
@@ -234,15 +242,6 @@ class SequencePair(_Sequences):
         """b(start..stop-1) as a float array."""
         return self._values("b", start, stop)
 
-    @classmethod
-    def from_table(cls, a_values, b_values, name="table"):
-        a_values = np.array(a_values, dtype=float)
-        b_values = np.array(b_values, dtype=float)
-        if len(b_values) != len(a_values):
-            raise DomainError("a and b tables must have equal length")
-        return cls.from_builders(_slices(a_values), _slices(b_values),
-                                 name=name, length=len(a_values))
-
 
 class WeightSequence(_Sequences):
     """A positive weight sequence with the fixed convention alpha(-1) = 0.
@@ -253,8 +252,6 @@ class WeightSequence(_Sequences):
 
     _rules = {"alpha": (_positive, lambda n, v, name:
                         "alpha(%d) = %r is not positive" % (n, v))}
-    _past_end = ("weight table %(name)r has %(length)d entries, "
-                 "alpha(%(n)d) requested")
 
     def __call__(self, n):
         return 0.0 if n == -1 else float(self.array(n + 1, start=n)[0])
@@ -272,12 +269,6 @@ class WeightSequence(_Sequences):
         """alpha(n) = a(n), the choice behind the a**2 summability variant."""
         return cls.from_builders(lambda lo, hi: seq.a_array(hi, start=lo),
                                  name="a")
-
-    @classmethod
-    def from_table(cls, values, name="table"):
-        values = np.array(values, dtype=float)
-        return cls.from_builders(_slices(values), name=name,
-                                 length=len(values))
 
     @classmethod
     def iterlog_weight(cls, seq, K):

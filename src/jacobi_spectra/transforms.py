@@ -17,6 +17,9 @@ Three constructions:
   matrix with abar(n) = sqrt(lambda(n) mu(n+1)), bbar(n) = -(lambda(n) +
   mu(n)).
 
+A derived sequence has no length: its entries exist where the entries it
+reads do, and reading past a table's end raises that table's error.
+
 The even/odd spectral identities need 0 to be a non-eigenvalue of both the
 matrix and its first-coefficient-dropped variant; this package can only
 gather l2 partial-sum evidence for that side condition (see
@@ -32,7 +35,7 @@ from . import diagnostics as _diag
 from .diagnostics import overall_verdict
 from .recurrence import _elementwise, _exp_signed
 from .sequences import (SequencePair, _Sequences, _arange, _checked, _items,
-                        _power, _read_table, _slices, _zeros)
+                        _power, _read_table, _zeros)
 
 __all__ = [
     "BirthDeathRates",
@@ -55,16 +58,15 @@ def flip(seq):
     return SequencePair.from_builders(
         lambda lo, hi: seq.a_array(hi, start=lo),
         lambda lo, hi: -seq.b_array(hi, start=lo),
-        name="flip(%s)" % seq.name, length=seq.length)
+        name="flip(%s)" % seq.name)
 
 
 def shift(seq):
     """Drop a(0): the variant with coefficients a(n+1) and the same b."""
-    length = None if seq.length is None else seq.length - 1
     return SequencePair.from_builders(
         lambda lo, hi: seq.a_array(hi + 1, start=lo + 1),
         lambda lo, hi: seq.b_array(hi, start=lo),
-        name="shift(%s)" % seq.name, length=length)
+        name="shift(%s)" % seq.name)
 
 
 def _square_restriction(seq, s, kind):
@@ -95,9 +97,7 @@ def _square_restriction(seq, s, kind):
         values[len(values) - len(prev):] += prev
         return values
 
-    length = None if seq.length is None else (seq.length - s) // 2
-    return SequencePair.from_builders(a, b, name="%s(%s)" % (kind, seq.name),
-                                      length=length)
+    return SequencePair.from_builders(a, b, name="%s(%s)" % (kind, seq.name))
 
 
 def square_even(seq):
@@ -139,7 +139,6 @@ class BirthDeathRates(_Sequences):
         "mu": (_mu_valid, lambda n, v, name: "mu(0) must be >= 0, got %r" % v
                if n == 0 else "mu(%d) = %r must be positive" % (n, v)),
     }
-    _past_end = "%(label)s(%(n)d) requested from %(name)r of length %(length)d"
 
     def lam_array(self, stop, start=0):
         return self._values("lambda", start, stop)
@@ -152,13 +151,6 @@ class BirthDeathRates(_Sequences):
 
     def mu(self, n):
         return float(self.mu_array(n + 1, start=n)[0])
-
-    @classmethod
-    def from_tables(cls, lam_values, mu_values, name="rates"):
-        return cls.from_builders(_slices(np.array(lam_values, dtype=float)),
-                                 _slices(np.array(mu_values, dtype=float)),
-                                 name=name,
-                                 length=min(len(lam_values), len(mu_values)))
 
 
 class PiWeights:
@@ -174,7 +166,9 @@ class PiWeights:
 
     def log_pi(self, n):
         """log pi(n); ``n`` may also be an array of indices."""
-        last = int(np.max(n, initial=0))
+        first, last = int(np.min(n, initial=0)), int(np.max(n, initial=0))
+        if first < 0:
+            raise DomainError("sequence index must be >= 0, got %d" % first)
         # (lp + log lambda(k)) - log mu(k+1), summed in that order
         entries = _checked(_rate_sequence(self._rates), 1, 2 * last + 1)
         steps = np.zeros(len(entries) + 1)
@@ -199,8 +193,6 @@ def bd_to_jacobi(rates):
     bbar(n) = -(lambda(n) + mu(n)); it is similar to the generator via the
     diagonal sqrt(pi) isometry, so spectra agree.
     """
-    length = None if rates.length is None else rates.length - 1
-
     def a(lo, hi):
         lam = rates.lam_array(hi, start=lo)
         return np.sqrt(lam * rates.mu_array(hi + 1, start=lo + 1))
@@ -209,8 +201,7 @@ def bd_to_jacobi(rates):
         lam = rates.lam_array(hi, start=lo)
         return -(lam + rates.mu_array(hi, start=lo))
 
-    pair = SequencePair.from_builders(a, b, name="bd(%s)" % rates.name,
-                                      length=length)
+    pair = SequencePair.from_builders(a, b, name="bd(%s)" % rates.name)
     return pair, PiWeights(rates)
 
 
@@ -229,10 +220,9 @@ def _rate_sequence(rates):
 def bd_interleaved(rates):
     """The interleaved sequence (mu(1), lambda(1), mu(2), lambda(2), ...)."""
     entries = _rate_sequence(rates)
-    length = None if rates.length is None else 2 * (rates.length - 1)
     return SequencePair.from_builders(
         lambda lo, hi: entries(lo + 2, hi + 2), _zeros,
-        name="interleaved(%s)" % rates.name, length=length)
+        name="interleaved(%s)" % rates.name)
 
 
 def bd_square_root_route(rates):
@@ -245,10 +235,9 @@ def bd_square_root_route(rates):
     """
     entries = _rate_sequence(rates)
     route, skip = ("even", 1) if rates.mu(0) == 0.0 else ("odd", 0)
-    length = None if rates.length is None else 2 * rates.length - 1
     return route, SequencePair.from_builders(
         lambda lo, hi: np.sqrt(entries(lo + skip, hi + skip)), _zeros,
-        name="bd-root(%s)" % rates.name, length=length)
+        name="bd-root(%s)" % rates.name)
 
 
 def bd_check_theorem_51(rates, n_max):
@@ -300,4 +289,4 @@ def parse_rates(text):
 def load_rates_csv(path):
     """Rates from CSV with columns (n, lambda, mu)."""
     lam, mu = _read_table(path, "rates table", 2)
-    return BirthDeathRates.from_tables(lam, mu, name="table:%s" % path)
+    return BirthDeathRates.from_table(lam, mu, name="table:%s" % path)

@@ -226,6 +226,8 @@ TABLES = {
     "bad_index": "0,1\nx,1\n",
     "one_column": "0,1\n1\n",
     "short": "0,1\n1,1\n2,1\n",
+    "five": "".join("%d,%d,0\n" % (n, n + 1) for n in range(5)),
+    "rates_short": "0,1,0\n1,2,1\n2,3,2\n",
     "huge": "0,1e308\n1,1e308\n2,1e308\n",
     "rates_short_row": "0,1,0\n1,2\n",
     "rates_bad_number": "0,1,0\n1,2,x\n",
@@ -418,10 +420,19 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
      "diagnostics overflow at n = 2: sum_inv_a_alpha(n) is inf, with a(1) = "
      "1e-154, a(2) = 1e-154, alpha(1) = 1e-154, alpha(2) = 1e-154 and "
      "lam - b(2) = 0.0"),
-    # an alpha table is named by its path, like the other tables
+    # a read past a table's end names the entry, the table and its length,
+    # also through a derived sequence
     (["check", "--theorem", "A", "--seq", "const", "--alpha",
       "table:{short}", "--n", "200"],
-     "weight table 'table:{short}' has 3 entries, alpha(3) requested"),
+     "alpha(3) requested from 'table:{short}' of length 3"),
+    (["transform", "bd", "--rates", "{rates_short}", "--n", "3"],
+     "mu(3) requested from 'table:{rates_short}' of length 3"),
+    (["check", "--theorem", "51", "--rates", "{rates_short}", "--n", "100"],
+     "mu(3) requested from 'table:{rates_short}' of length 3"),
+    (["spectrum", "--seq", "table:{five}", "--size", "9"],
+     "b(5) requested from 'table:{five}' of length 5"),
+    (["transform", "even", "--seq", "table:{five}", "--n", "3"],
+     "b(5) requested from 'table:{five}' of length 5"),
 ])
 def test_bad_input_error_line(argv, line, tmp_path, capsys):
     paths = table_paths(tmp_path)

@@ -2,9 +2,11 @@
 
 The reference below is the index-by-index evaluation the package used
 before coefficients were built as arrays: one closure per family and per
-transform, each entry checked on its own.  Every builder must give the
-same bits (compared through ``.view(np.int64)``), the same length, and on
-bad input the same exception class and message.
+transform, each entry checked on its own.  Only a table has a length: a
+derived sequence ends where the entries it reads end, in both paths.
+Every builder must give the same bits (compared through
+``.view(np.int64)``), and on bad input the same exception class and
+message.
 """
 
 import math
@@ -30,6 +32,7 @@ from jacobi_spectra import (
     shift,
     square_even,
     square_odd,
+    truncate,
 )
 from jacobi_spectra.transforms import BirthDeathRates, PiWeights
 
@@ -43,6 +46,13 @@ TABLE_ROWS = 60010
 # --- the per-index reference -----------------------------------------------
 
 
+def past_end(label, name, length):
+    """The one end-of-table message; it names the first index past the end,
+    as the array path reports it."""
+    return "%s(%d) requested from %r of length %d" % (label, length, name,
+                                                      length)
+
+
 class RefPair:
     def __init__(self, a_fn, b_fn, name="custom", length=None):
         self._a_fn, self._b_fn, self.name, self.length = a_fn, b_fn, name, length
@@ -51,9 +61,7 @@ class RefPair:
         if n < 0:
             raise DomainError("sequence index must be >= 0, got %d" % n)
         if self.length is not None and n >= self.length:
-            raise DomainError(
-                "index %d out of range for finite sequence of length %d"
-                % (n, self.length))
+            raise DomainError(past_end(label, self.name, self.length))
         try:
             return float(fn(n))
         except OverflowError:
@@ -130,14 +138,11 @@ def ref_family(text, table=None):
 
 
 def ref_flip(seq):
-    return RefPair(seq.a, lambda n: -seq.b(n), "flip(%s)" % seq.name,
-                   seq.length)
+    return RefPair(seq.a, lambda n: -seq.b(n), "flip(%s)" % seq.name)
 
 
 def ref_shift(seq):
-    length = None if seq.length is None else seq.length - 1
-    return RefPair(lambda n: seq.a(n + 1), seq.b, "shift(%s)" % seq.name,
-                   length)
+    return RefPair(lambda n: seq.a(n + 1), seq.b, "shift(%s)" % seq.name)
 
 
 def _require_b_zero(seq, n):
@@ -157,8 +162,7 @@ def ref_even(seq):
         prev = seq.a(2 * n - 1) if n > 0 else 0.0
         return prev ** 2 + seq.a(2 * n) ** 2
 
-    length = None if seq.length is None else seq.length // 2
-    return RefPair(a_fn, b_fn, "even(%s)" % seq.name, length)
+    return RefPair(a_fn, b_fn, "even(%s)" % seq.name)
 
 
 def ref_odd(seq):
@@ -171,8 +175,7 @@ def ref_odd(seq):
         _require_b_zero(seq, 2 * n + 1)
         return seq.a(2 * n) ** 2 + seq.a(2 * n + 1) ** 2
 
-    length = None if seq.length is None else (seq.length - 1) // 2
-    return RefPair(a_fn, b_fn, "odd(%s)" % seq.name, length)
+    return RefPair(a_fn, b_fn, "odd(%s)" % seq.name)
 
 
 class RefRates:
@@ -180,14 +183,19 @@ class RefRates:
         self._lam_fn, self._mu_fn, self.name, self.length = (
             lam_fn, mu_fn, name, length)
 
+    def _eval(self, fn, label, n):
+        if self.length is not None and n >= self.length:
+            raise DomainError(past_end(label, self.name, self.length))
+        return float(fn(n))
+
     def lam(self, n):
-        value = float(self._lam_fn(n))
+        value = self._eval(self._lam_fn, "lambda", n)
         if not value > 0.0:
             raise DomainError("lambda(%d) = %r must be positive" % (n, value))
         return value
 
     def mu(self, n):
-        value = float(self._mu_fn(n))
+        value = self._eval(self._mu_fn, "mu", n)
         if n == 0:
             if value < 0.0:
                 raise DomainError("mu(0) must be >= 0, got %r" % value)
@@ -210,10 +218,9 @@ class RefPi:
 
 
 def ref_bd_to_jacobi(rates):
-    length = None if rates.length is None else rates.length - 1
     return RefPair(lambda n: math.sqrt(rates.lam(n) * rates.mu(n + 1)),
                    lambda n: -(rates.lam(n) + rates.mu(n)),
-                   "bd(%s)" % rates.name, length)
+                   "bd(%s)" % rates.name)
 
 
 def ref_interleaved(rates):
@@ -221,8 +228,7 @@ def ref_interleaved(rates):
         k = n // 2 + 1
         return rates.mu(k) if n % 2 == 0 else rates.lam(k)
 
-    length = None if rates.length is None else 2 * (rates.length - 1)
-    return RefPair(a_fn, lambda n: 0.0, "interleaved(%s)" % rates.name, length)
+    return RefPair(a_fn, lambda n: 0.0, "interleaved(%s)" % rates.name)
 
 
 def ref_root(rates):
@@ -234,8 +240,7 @@ def ref_root(rates):
 
     a_fn = root if mu0 == 0.0 else (
         lambda n: math.sqrt(mu0) if n == 0 else root(n - 1))
-    length = None if rates.length is None else 2 * rates.length - 1
-    return RefPair(a_fn, lambda n: 0.0, "bd-root(%s)" % rates.name, length)
+    return RefPair(a_fn, lambda n: 0.0, "bd-root(%s)" % rates.name)
 
 
 class RefWeight:
@@ -255,8 +260,7 @@ class RefWeight:
 def ref_weight_table(values, name="table"):
     def fn(n):
         if n >= len(values):
-            raise DomainError("weight table %r has %d entries, alpha(%d) "
-                              "requested" % (name, len(values), n))
+            raise DomainError(past_end("alpha", name, len(values)))
         return values[n]
     return RefWeight(fn)
 
@@ -425,7 +429,7 @@ def test_bd_arrays_match_per_index(spec, lam_fn, mu_fn, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_bd_odd_route_and_tables_match_per_index(n):
     lam, mu = [k + 1.0 for k in range(n + 2)], [k + 0.5 for k in range(n + 2)]
-    rates = BirthDeathRates.from_tables(lam, mu)
+    rates = BirthDeathRates.from_table(lam, mu, name="rates")
     ref = RefRates(lam.__getitem__, mu.__getitem__, length=n + 2)
     route, root = bd_square_root_route(rates)
     assert route == "odd"
@@ -434,6 +438,28 @@ def test_bd_odd_route_and_tables_match_per_index(n):
               ref_bd_to_jacobi(ref).a_array(n), n)
     same_bits(bd_interleaved(rates).a_array(n),
               ref_interleaved(ref).a_array(n), n)
+
+
+@pytest.mark.parametrize("mu0", [0.0, 0.5], ids=["even", "odd"])
+@pytest.mark.parametrize("L", [1, 2, 5])
+def test_bd_entries_end_where_the_rates_do(L, mu0):
+    lam = [k + 1.0 for k in range(L)]
+    mu = [mu0] + [k + 0.5 for k in range(1, L)]
+    rates = BirthDeathRates.from_table(lam, mu, name="rates")
+    ref = RefRates(lam.__getitem__, mu.__getitem__, length=L)
+    pair, ref_pair = bd_to_jacobi(rates)[0], ref_bd_to_jacobi(ref)
+    t = truncate(pair, L)
+    same_bits(t.diag, ref_pair.b_array(L), L)
+    same_bits(t.offdiag, ref_pair.a_array(L - 1), L - 1)
+    route, root = bd_square_root_route(rates)
+    assert route == ("odd" if mu0 else "even")
+    size = 2 * L if mu0 else 2 * L - 1
+    same_bits(root.a_array(size), ref_root(ref).a_array(size), size)
+    # one entry more reads past the table, and both paths say so alike
+    for new, old, n in ((pair.a_array, ref_pair.a_array, L),
+                        (pair.b_array, ref_pair.b_array, L + 1),
+                        (root.a_array, ref_root(ref).a_array, size + 1)):
+        same_fault(lambda: new(n), lambda: old(n))
 
 
 def test_pi_weights_extend_one_running_sum():
@@ -489,6 +515,7 @@ def test_iterated_logs_match_per_index(K):
 
 def test_negative_array_length_is_a_domain_error():
     seq = instantiate("const")
+    pi = PiWeights(parse_rates("lam=linear,mu=linear"))
     for call in (lambda: seq.a_array(-5), lambda: seq.b_array(-1),
                  lambda: square_even(seq).a_array(-2),
                  lambda: WeightSequence.ones().array(-3),
@@ -498,10 +525,15 @@ def test_negative_array_length_is_a_domain_error():
                      2, start=-1),
                  lambda: WeightSequence.ones()(-2),
                  lambda: parse_rates("lam=linear,mu=linear").mu_array(
-                     2, start=-1)):
+                     2, start=-1),
+                 lambda: pi.log_pi(-1), lambda: pi.pi(-1),
+                 lambda: pi.sqrt_ratio(-1), lambda: pi.log_pi(np.array([-5]))):
         with pytest.raises(DomainError):
             call()
     assert WeightSequence.ones()(-1) == 0.0     # the alpha(-1) = 0 convention
+    with pytest.raises(DomainError,
+                       match=r"^sequence index must be >= 0, got -5$"):
+        pi.log_pi(np.array([3, -5, -2]))
 
 
 @pytest.mark.filterwarnings("ignore:pow-shifted is documented")
@@ -550,6 +582,23 @@ def test_table_faults_match_per_index(rows, n, transform, tmp_path):
     same_outcome(lambda: new.b_array(n), lambda: old.b_array(n), n)
 
 
+# a 5-row table and the entries each transform of it reads: (a, b)
+@pytest.mark.parametrize("new_t, ref_t, counts", [
+    (flip, ref_flip, (5, 5)), (shift, ref_shift, (4, 5)),
+    (square_even, ref_even, (2, 3)), (square_odd, ref_odd, (2, 2))],
+    ids=["flip", "shift", "even", "odd"])
+def test_transform_entries_end_where_the_table_does(new_t, ref_t, counts,
+                                                    tmp_path):
+    a_values = [1.0 + k for k in range(5)]
+    spec = write_table(tmp_path, [(k, v, 0) for k, v in enumerate(a_values)])
+    new = new_t(instantiate(spec))
+    old = ref_t(ref_family(spec, (a_values, [0.0] * 5)))
+    for array, ref_array, n in ((new.a_array, old.a_array, counts[0]),
+                                (new.b_array, old.b_array, counts[1])):
+        same_bits(array(n), ref_array(n), n)
+        same_fault(lambda: array(n + 1), lambda: ref_array(n + 1))
+
+
 @pytest.mark.parametrize("lam, mu", [
     ([1.0, 2.0, -1.0, 4.0, 5.0, 6.0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
     ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [-1.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
@@ -558,7 +607,7 @@ def test_table_faults_match_per_index(rows, n, transform, tmp_path):
     ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.0, 1.0, float("nan"), 3.0, 4.0, 5.0]),
 ])
 def test_rate_faults_match_per_index(lam, mu):
-    rates = BirthDeathRates.from_tables(lam, mu)
+    rates = BirthDeathRates.from_table(lam, mu, name="rates")
     ref = RefRates(lam.__getitem__, mu.__getitem__, length=len(lam))
     # a range past the tables reports an in-range fault first
     for label, array, ref_at in (("lambda", rates.lam_array, ref.lam),

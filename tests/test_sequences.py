@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobi_spectra import (
+    BirthDeathRates,
     DomainError,
     ParseError,
     SequencePair,
@@ -219,10 +220,25 @@ def test_sequence_pair_rejects_nonfinite_b_at_its_index():
         overflow.b(1)
 
 
+def test_from_table_takes_one_column_per_label():
+    for cls, columns in ((SequencePair, [[1.0]]),
+                         (WeightSequence, [[1.0], [1.0]]),
+                         (BirthDeathRates, [[1.0], [0.0], [1.0]])):
+        with pytest.raises(TypeError):
+            cls.from_table(*columns)
+    with pytest.raises(DomainError,
+                       match=r"^a and b tables must have equal length$"):
+        SequencePair.from_table([1.0, 2.0], [0.0])
+    with pytest.raises(DomainError,
+                       match=r"^lambda and mu tables must have equal length$"):
+        BirthDeathRates.from_table([1.0, 2.0], [0.0])
+
+
 def test_sequence_pair_finite_length_bounds():
     seq = SequencePair.from_table([1.0, 2.0], [0.0, 1.0])
     assert seq.a(1) == 2.0
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^a\(2\) requested from 'table' "
+                                          r"of length 2$"):
         seq.a(2)
     with pytest.raises(DomainError):
         seq.a(-1)
