@@ -177,6 +177,12 @@ def cmd_analyze(args, path):
 def cmd_check(args, path):
     theorem = args.theorem
     _check_source(args, theorem == "51", "check --theorem %s" % theorem)
+    # only A reads --alpha and only 43 --k; their parser defaults pass
+    for option, value, default, reader in (("--alpha", args.alpha, "a", "A"),
+                                           ("--k", args.K, 1, "43")):
+        if theorem != reader and value != default:
+            raise ParseError("check --theorem %s does not take %s, got %r"
+                             % (theorem, option, value))
     extra = {"theorem": theorem, "n": args.n, "version": __version__}
     if theorem == "51":
         rates = _resolve_rates(args.rates)

@@ -26,7 +26,8 @@ module constants ``SUMMABLE_DECREASE`` .. ``LIMSUP_MARGIN``, beside
 Float policy of the checkers: a term beyond binary64 is graded as its
 IEEE value, with no numpy warning.  1/inf is 0.0 (the true term is below
 5.6e-309), an overflowing ratio is inf, and inf * 0 is NaN.  Every checker
-body runs under :func:`_checker_arrays`.
+body runs under :func:`_checker_arrays` and forms each condition's terms in
+its grader call, so no term array outlives its grade.
 """
 
 import contextlib
@@ -305,24 +306,9 @@ LIMIT_OSC_TOL = 1e-3
 LIMSUP_MARGIN = 1e-3
 
 
-def _window_maxima(values):
-    """Maxima of values at n = 0..N over [N/4, N/2) and [N/2, N]."""
-    N = len(values) - 1
-    return (float(np.max(values[N // 4: N // 2])),
-            float(np.max(values[N // 2:])))
-
-
 def _tail(values):
     """The last quarter of the values, where limits are graded."""
     return values[3 * len(values) // 4:]
-
-
-def _loglog_slope(ns, terms):
-    mask = (terms > 0.0) & (ns >= int(ns[-1]) // 4)
-    if np.sum(mask) < 5:
-        return float("nan")
-    slope = np.polyfit(np.log(ns[mask]), np.log(terms[mask]), 1)[0]
-    return float(slope)
 
 
 def _grade_summable(terms, first=0):
@@ -333,12 +319,19 @@ def _grade_summable(terms, first=0):
     keeps staircase-shaped term sequences (constant over long stretches,
     with rare jumps) from fooling a single dyadic comparison.
     """
-    ns = np.arange(first, first + len(terms), dtype=float)
-    N = int(ns[-1])
+    N = first + len(terms) - 1
     edges = [N // 16, N // 8, N // 4, N // 2, N]
-    sums = [float(np.sum(terms[(ns >= lo) & ((ns < hi) | (hi == N))]))
-            for lo, hi in zip(edges[:-1], edges[1:])]
-    slope = _loglog_slope(ns, terms)
+    # the windows as unit-step slices, the last one through n = N; an edge
+    # below ``first`` is clamped to index 0, as terms[0:-k] is not empty
+    starts = [max(edge - first, 0) for edge in edges[:-1]]
+    sums = [float(np.sum(terms[lo:hi]))
+            for lo, hi in zip(starts, starts[1:] + [None])]
+    tail = terms[starts[2]:]               # n >= N // 4: the log-log fit
+    positive = tail > 0.0
+    slope = float("nan")
+    if np.count_nonzero(positive) >= 5:
+        ns = np.arange(first + starts[2], N + 1, dtype=float)[positive]
+        slope = float(np.polyfit(np.log(ns), np.log(tail[positive]), 1)[0])
     ratios = [sums[i + 1] / sums[i] for i in range(len(sums) - 1)
               if sums[i] > 0.0 and sums[i + 1] > 0.0]
     evidence = {
@@ -371,7 +364,10 @@ def _negated(grade):
 
 
 def _grade_growth_to_inf(values):
-    m1, m2 = _window_maxima(values)
+    """Growth of values at n = 0..N: maxima over [N/4, N/2) and [N/2, N]."""
+    N = len(values) - 1
+    m1 = float(np.max(values[N // 4: N // 2]))
+    m2 = float(np.max(values[N // 2:]))
     evidence = {"window_maxima": [m1, m2]}
     if m1 > 0.0 and m2 >= GROWTH_FACTOR * m1:
         return PASS, evidence
@@ -436,24 +432,23 @@ def check_theorem_A(seq, alpha, n_max):
     """Grade the seven hypotheses of the main continuous-spectrum theorem."""
     with _checker_arrays(seq, n_max) as (N, a, b):
         al = alpha.array(N + 2)
-        # terms at n = 1..N-1, needing n-1 and n+1
-        terms_b = negative_part(
-            (a[2: N + 1] / a[1:N]) * (al[2: N + 1] / al[1:N])
-            - (a[1:N] / a[: N - 1]) * (al[: N - 1] / al[1:N]))
-        terms_c = np.abs(a[:N] / a[1: N + 1] - al[:N] / al[1: N + 1]) / a[:N]
-        # from n = 1: the n = 0 summand vanishes (alpha(-1) = 0)
-        terms_d = np.abs(b[2: N + 2] / a[1: N + 1]
-                         - (b[1: N + 1] / a[:N]) * (al[:N] / al[1: N + 1]))
-        terms_e = 1.0 / (a[: N + 1] * al[: N + 1])
-        ratio_f = (al[:N] / al[1: N + 1]) * (a[1: N + 1] / a[:N])
-
         return [
             ConditionVerdict("ThmA.a", *_grade_growth_to_inf(a[: N + 1])),
-            ConditionVerdict("ThmA.b", *_grade_summable(terms_b, first=1)),
-            ConditionVerdict("ThmA.c", *_grade_summable(terms_c, first=1)),
-            ConditionVerdict("ThmA.d", *_grade_summable(terms_d, first=1)),
-            ConditionVerdict("ThmA.e", *_negated(_grade_summable(terms_e))),
-            ConditionVerdict("ThmA.f", *_grade_limit(ratio_f, target=1.0)),
+            # terms at n = 1..N-1, needing n-1 and n+1
+            ConditionVerdict("ThmA.b", *_grade_summable(negative_part(
+                (a[2: N + 1] / a[1:N]) * (al[2: N + 1] / al[1:N])
+                - (a[1:N] / a[: N - 1]) * (al[: N - 1] / al[1:N])), first=1)),
+            ConditionVerdict("ThmA.c", *_grade_summable(
+                np.abs(a[:N] / a[1: N + 1] - al[:N] / al[1: N + 1]) / a[:N],
+                first=1)),
+            # from n = 1: the n = 0 summand vanishes (alpha(-1) = 0)
+            ConditionVerdict("ThmA.d", *_grade_summable(np.abs(
+                b[2: N + 2] / a[1: N + 1]
+                - (b[1: N + 1] / a[:N]) * (al[:N] / al[1: N + 1])), first=1)),
+            ConditionVerdict("ThmA.e", *_negated(
+                _grade_summable(1.0 / (a[: N + 1] * al[: N + 1])))),
+            ConditionVerdict("ThmA.f", *_grade_limit(
+                (al[:N] / al[1: N + 1]) * (a[1: N + 1] / a[:N]), target=1.0)),
             ConditionVerdict("ThmA.g", *_grade_b_over_a(a, b, N)),
         ]
 
@@ -461,19 +456,18 @@ def check_theorem_A(seq, alpha, n_max):
 def check_corollary_B(seq, n_max):
     """The alpha = a specialization: five directly checkable hypotheses."""
     with _checker_arrays(seq, n_max) as (N, a, b):
-        # a ratio r >= 1, inf included, has no negative part of r**2 - 1:
-        # clamped at 1, its square cannot overflow (r > 1.34e154 did)
-        terms_c = negative_part(
-            _power(np.minimum(a[1: N + 2] / a[: N + 1], 1.0), 2.0) - 1.0)
-        terms_e = np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1]
-        terms_b = 1.0 / a[: N + 1] ** 2
-
         return [
             ConditionVerdict("CorB.a", *_grade_growth_to_inf(a[: N + 1])),
-            ConditionVerdict("CorB.b", *_negated(_grade_summable(terms_b))),
-            ConditionVerdict("CorB.c", *_grade_summable(terms_c)),
+            ConditionVerdict("CorB.b", *_negated(
+                _grade_summable(1.0 / a[: N + 1] ** 2))),
+            # a ratio r >= 1, inf included, has no negative part of r**2 - 1:
+            # clamped at 1, its square cannot overflow (r > 1.34e154 did)
+            ConditionVerdict("CorB.c", *_grade_summable(negative_part(
+                _power(np.minimum(a[1: N + 2] / a[: N + 1], 1.0), 2.0)
+                - 1.0))),
             ConditionVerdict("CorB.d", *_grade_b_over_a(a, b, N)),
-            ConditionVerdict("CorB.e", *_grade_summable(terms_e)),
+            ConditionVerdict("CorB.e", *_grade_summable(
+                np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1])),
         ]
 
 
@@ -493,21 +487,21 @@ def _grade_slow_growth(a, N, prefix):
     a(n) -> inf, sum 1/a(n) = inf, and the negative parts of
     a(n+1)/a(n) - 1 summable; verdict ids are ``prefix`` + ".a" to ".c".
     """
-    terms_c = negative_part(a[1: N + 2] / a[: N + 1] - 1.0)
     return [
         ConditionVerdict(prefix + ".a", *_grade_growth_to_inf(a[: N + 1])),
         ConditionVerdict(prefix + ".b",
                          *_negated(_grade_summable(1.0 / a[: N + 1]))),
-        ConditionVerdict(prefix + ".c", *_grade_summable(terms_c)),
+        ConditionVerdict(prefix + ".c", *_grade_summable(
+            negative_part(a[1: N + 2] / a[: N + 1] - 1.0))),
     ]
 
 
 def check_corollary_C(seq, n_max):
     """Essential-spectrum half-line evidence, plus the one-quarter ratio."""
     with _checker_arrays(seq, n_max) as (N, a, b):
-        m_terms = a[:N] - b[1: N + 1] + a[1: N + 1]     # n = 1..N
         verdicts = _grade_slow_growth(a, N, "CorC") + [
-            ConditionVerdict("CorC.d", *_grade_limit(m_terms))]
+            ConditionVerdict("CorC.d", *_grade_limit(        # n = 1..N
+                a[:N] - b[1: N + 1] + a[1: N + 1]))]
 
         denom = b[: N + 1] * b[1: N + 2]
         ratio = np.where(denom > 0.0, a[: N + 1] ** 2 / denom, np.nan)
@@ -532,14 +526,15 @@ def check_theorem_42(seq, n_max):
     the evidence.
     """
     with _checker_arrays(seq, n_max) as (N, a, b):
-        bv_sets = {
-            "a_ratio": a[: N + 1] / a[1: N + 2],
-            "inv_a": 1.0 / a[: N + 2],
-            "b_over_a": b[: N + 2] / a[: N + 2],
+        # bounded variation, one v at a time: terms |v(n) - v(n-1)|, n >= 1
+        bv_grades = {
+            "a_ratio": _grade_summable(
+                np.abs(np.diff(a[: N + 1] / a[1: N + 2])), first=1),
+            "inv_a": _grade_summable(np.abs(np.diff(1.0 / a[: N + 2])),
+                                     first=1),
+            "b_over_a": _grade_summable(
+                np.abs(np.diff(b[: N + 2] / a[: N + 2])), first=1),
         }
-        # bounded variation: the terms |v(n) - v(n-1)| from n = 1
-        bv_grades = {k: _grade_summable(np.abs(np.diff(v)), first=1)
-                     for k, v in bv_sets.items()}
         bv_verdict = overall_verdict(
             [ConditionVerdict(k, *g) for k, g in bv_grades.items()])
 
@@ -577,29 +572,30 @@ def check_theorem_43(seq, K, n_max):
                               % (K, n_start, N))
 
     with _checker_arrays(seq, n_max, check_start) as (N, a, b):
+        verdicts = [
+            ConditionVerdict("Thm43.a", *_grade_growth_to_inf(a[: N + 1]))]
         ns_b = np.arange(n_start, N + 1)
         ratio = a[n_start: N + 1] / a[n_start - 1: N]
         envelope = 1.0 + 1.0 / ns_b
         for g_j in _iterlogs(ns_b.astype(float), K)[1:]:
             envelope += 1.0 / (ns_b * g_j)
         slack = np.maximum(0.0, np.maximum(1.0 - ratio, ratio - envelope))
+        del ns_b, ratio, envelope
+        verdicts.append(ConditionVerdict(
+            "Thm43.b", *_grade_summable(slack, first=n_start)))
+        del slack
 
-        terms_bv = np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1]
         c_grades = {
             "bounded": _negated(_grade_growth_to_inf(np.abs(b[: N + 1]))),
-            "bv": _grade_summable(terms_bv)}
+            "bv": _grade_summable(
+                np.abs(b[1: N + 2] - b[: N + 1]) / a[: N + 1])}
         c_verdict = overall_verdict(
             [ConditionVerdict(k, *g) for k, g in c_grades.items()])
-
-        terms_d = 1.0 / (np.arange(1, N + 1) * a[1: N + 1])
-
-        return [
-            ConditionVerdict("Thm43.a", *_grade_growth_to_inf(a[: N + 1])),
-            ConditionVerdict("Thm43.b",
-                             *_grade_summable(slack, first=n_start)),
+        return verdicts + [
             ConditionVerdict("Thm43.c", c_verdict,
                              {k: g[1] for k, g in c_grades.items()}),
-            ConditionVerdict("Thm43.d", *_grade_summable(terms_d, first=1)),
+            ConditionVerdict("Thm43.d", *_grade_summable(
+                1.0 / (np.arange(1, N + 1) * a[1: N + 1]), first=1)),
         ]
 
 

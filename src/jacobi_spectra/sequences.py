@@ -164,7 +164,11 @@ class _Sequences:
     _past_end = "%(label)s(%(n)d) requested from %(name)r of length %(length)d"
 
     def __init__(self, *fns, name=None, length=None):
-        self._build = dict(zip(self._rules, map(_per_index, fns), strict=True))
+        if len(fns) != len(self._rules):
+            raise TypeError("%s takes %d callables (%s), got %d" % (
+                type(self).__name__, len(self._rules),
+                " and ".join(self._rules), len(fns)))
+        self._build = dict(zip(self._rules, map(_per_index, fns)))
         if name is not None:
             self.name = name
         self.length = length

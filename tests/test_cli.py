@@ -180,6 +180,28 @@ def test_check_missing_rates_exits_2():
     assert run(["check", "--theorem", "51", "--n", "1000"]) == 2
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["--theorem", "B", "--seq", "const", "--alpha", "one", "--k", "5"],
+     "check --theorem B does not take --alpha, got 'one'"),
+    (["--theorem", "C", "--seq", "chihara", "--alpha", "one"],
+     "check --theorem C does not take --alpha, got 'one'"),
+    (["--theorem", "42", "--seq", "const", "--alpha", "one"],
+     "check --theorem 42 does not take --alpha, got 'one'"),
+    (["--theorem", "51", "--bd", "lam=linear,mu=linear", "--alpha", "one"],
+     "check --theorem 51 does not take --alpha, got 'one'"),
+    (["--theorem", "A", "--seq", "const", "--k", "5"],
+     "check --theorem A does not take --k, got 5"),
+])
+def test_check_rejects_an_option_its_theorem_does_not_read(argv, line,
+                                                           tmp_path, capsys):
+    # --alpha is read by theorem A only and --k by 43 only; elsewhere only
+    # their parser defaults are accepted, which config.json replays
+    out = tmp_path / "out"
+    assert run(["check"] + argv + ["--n", "200", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: " + line]
+    assert not out.exists()
+
+
 def test_check_theorem_43_deep_K_exits_3_quickly(tmp_path, capsys):
     # the K=9 envelope starts past any representable index
     start = time.perf_counter()

@@ -1,6 +1,7 @@
 """Tests for the commutator diagnostics and the theorem checkers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from jacobi_spectra import (
     EigvecInit,
     SequencePair,
     WeightSequence,
+    bd_check_theorem_51,
     check_corollary_B,
     check_corollary_C,
     check_theorem_42,
@@ -18,6 +20,7 @@ from jacobi_spectra import (
     instantiate,
     liminf_estimate,
     overall_verdict,
+    parse_rates,
     poly_eval,
     poly_init,
     propagate,
@@ -405,6 +408,33 @@ def test_checker_rejects_short_runs():
         check_corollary_B(seq, 50)
     with pytest.raises(DomainError):  # the K=4 envelope starts at 3814280
         check_theorem_43(seq, 4, 200)
+
+
+POW_HALF = instantiate("pow:alpha=0.5")
+
+
+@pytest.mark.parametrize("check", [
+    lambda n: check_theorem_A(POW_HALF, alpha_a(POW_HALF), n),
+    lambda n: check_corollary_B(POW_HALF, n),
+    lambda n: check_corollary_C(instantiate("chihara"), n),
+    lambda n: check_theorem_42(POW_HALF, n),
+    lambda n: check_theorem_43(instantiate("iterlog:k=2,m=16"), 2, n),
+    lambda n: bd_check_theorem_51(parse_rates("lam=linear,mu=linear"), n),
+], ids=["A", "B", "C", "42", "43", "51"])
+def test_checker_peak_memory_per_index(check):
+    # each condition's terms are freed once graded: the traced peak is the
+    # coefficient arrays, one term array and the slope fit on its tail
+    # (about 55 bytes per index), not every condition's terms at once
+    n = 200_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        check(n)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 95
 
 
 # --- verdict machinery -----------------------------------------------------

@@ -234,6 +234,17 @@ def test_from_table_takes_one_column_per_label():
         BirthDeathRates.from_table([1.0, 2.0], [0.0])
 
 
+def test_constructors_take_one_callable_per_label():
+    for cls, labels in ((SequencePair, "a and b"),
+                        (BirthDeathRates, "lambda and mu")):
+        message = r"^%s takes 2 callables \(%s\), got 1$" % (cls.__name__,
+                                                            labels)
+        with pytest.raises(TypeError, match=message):
+            cls(lambda n: 1.0)
+        with pytest.raises(TypeError, match=message):
+            cls.from_builders(lambda lo, hi: None)
+
+
 def test_sequence_pair_finite_length_bounds():
     seq = SequencePair.from_table([1.0, 2.0], [0.0, 1.0])
     assert seq.a(1) == 2.0
