@@ -42,8 +42,7 @@ import numpy as np
 from . import __version__
 from .errors import JacobiError, ParseError
 from . import diagnostics, recurrence, spectra, transforms
-from .sequences import (WeightSequence, _read_table, instantiate,
-                        parse_family)
+from .sequences import WeightSequence, instantiate, parse_family
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
@@ -64,8 +63,7 @@ def _resolve_alpha(choice, seq):
                              % arg) from None
         return WeightSequence.iterlog_weight(seq, K)
     if name == "table" and sep:
-        (values,) = _read_table(arg, "alpha table", 1)
-        return WeightSequence.from_table(values, name="table:%s" % arg)
+        return WeightSequence.read_table(arg)
     raise ParseError("unknown alpha choice %r" % choice)
 
 
@@ -91,7 +89,7 @@ def _resolve_rates(text):
     if not text:
         raise ParseError("no rates given (use --rates or --bd)")
     if os.path.exists(text):
-        return transforms.load_rates_csv(text)
+        return transforms.BirthDeathRates.read_table(text)
     return transforms.parse_rates(text)
 
 

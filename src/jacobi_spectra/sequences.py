@@ -146,6 +146,15 @@ def _checked(build, lo, hi, valid=None, reject=None,
     raise error
 
 
+def _number(convert, cell):
+    """int(cell) or float(cell), failing, as they fail, on "_" or non-ASCII."""
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError({int: "invalid literal for int() with base 10: %.200r",
+                          float: "could not convert string to float: %r"}[convert]
+                         % cell)
+    return convert(cell)
+
+
 class _Sequences:
     """Sequences held as named builders, each mapping an index range lo..hi-1
     to a float array, with one checked path from builders to arrays.
@@ -155,13 +164,15 @@ class _Sequences:
     a range that starts at ``lo``, and ``reject(n, value, name)`` words the
     first bad one.  Only a table has a ``length``, and ``_past_end`` words a
     read past it; a derived sequence ends where the entries it reads end.
-    The constructor takes fn(n), :meth:`from_builders` a builder and
-    :meth:`from_table` a column of values, one per label.
+    The constructor takes fn(n), :meth:`from_builders` a builder, and
+    :meth:`from_table` and :meth:`read_table` (a CSV file) a column per label.
     """
 
     name = "custom"
     _rules = {}
     _past_end = "%(label)s(%(n)d) requested from %(name)r of length %(length)d"
+    _table_word = "table"       # what read_table's messages call the file
+    _optional_columns = 0       # trailing labels a row may leave out, as 0
 
     def __init__(self, *fns, name=None, length=None):
         if len(fns) != len(self._rules):
@@ -194,6 +205,41 @@ class _Sequences:
         builders = [lambda lo, hi, v=values: v[lo:hi] for values in columns]
         return cls.from_builders(*builders, name=name, length=len(columns[0]))
 
+    @classmethod
+    def read_table(cls, path):
+        """The table in the UTF-8 CSV file at ``path``: rows n, v_1, v_2, ...
+        with n = 0..m-1 once each, in any order, skipping rows whose first
+        cell is empty or ``n`` or starts with ``#``.  A malformed, unreadable
+        or non-UTF-8 file is a ParseError, an empty table a DomainError."""
+        what, width, rows = cls._table_word, 1 + len(cls._rules), []
+        required = width - cls._optional_columns
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                for row in csv.reader(fh):
+                    first = row[0].strip() if row else ""
+                    if first.lower() in ("", "n") or first.startswith("#"):
+                        continue
+                    if not required <= len(row) <= width:
+                        raise ValueError("row %r: expected %s cells, got %d" % (
+                            ",".join(row), " or ".join(
+                                map(str, range(required, width + 1))), len(row)))
+                    n = _number(int, first)
+                    rows.append((n, [_number(float, c) for c in row[1:]]
+                                 + [0.0] * (width - len(row))))
+        except OSError as exc:
+            raise ParseError("cannot read %s %r: %s"
+                             % (what, path, exc.strerror or exc)) from None
+        except (ValueError, csv.Error) as exc:  # a UnicodeDecodeError too
+            raise ParseError("malformed %s %r: %s" % (what, path, exc)) from None
+        if not rows:
+            raise DomainError("empty %s %r" % (what, path))
+        rows.sort(key=lambda row: row[0])
+        if [n for n, _ in rows] != list(range(len(rows))):
+            raise ParseError("malformed %s %r: n must run over 0..%d, each once"
+                             % (what, path, len(rows) - 1))
+        return cls.from_table(*zip(*(cells for _, cells in rows)),
+                              name="table:%s" % path)
+
     def _values(self, label, lo, hi):
         """Entries lo..hi-1 of ``label``: the finite part is read and checked
         whole first, so an entry that breaks its rule, or whose arithmetic
@@ -225,6 +271,8 @@ class SequencePair(_Sequences):
     per-index callables for custom sequences.
     """
 
+    _table_word = "sequence table"
+    _optional_columns = 1       # b, read as 0
     _rules = {
         "a": (_positive, lambda n, v, name:
               "a(%d) = %r violates positivity for family %r" % (n, v, name)),
@@ -254,6 +302,7 @@ class WeightSequence(_Sequences):
     and ``alpha(n)`` a single-index view; the constructor takes fn(n).
     """
 
+    _table_word = "alpha table"
     _rules = {"alpha": (_positive, lambda n, v, name:
                         "alpha(%d) = %r is not positive" % (n, v))}
 
@@ -605,49 +654,6 @@ def instantiate(spec):
                     lambda lo, hi: np.arange(2 * lo + 1, 2 * hi, 2, dtype=float))
 
     if fam == "table":
-        return load_table(spec.path)
+        return SequencePair.read_table(spec.path)
 
     raise ParseError("unknown family %r" % fam)
-
-
-def _read_table(path, what, required, optional=0):
-    """The value columns of a table file with rows n, v_1, v_2, ...
-
-    A row holds ``required`` values and up to ``optional`` more, a missing
-    one read as 0.  Rows whose first cell is empty or ``n`` or starts with
-    ``#`` are skipped; the others may come in any order, but their n must
-    be 0..m-1, each once.  The file is UTF-8, with or without a byte-order
-    mark.  A malformed, unreadable or non-UTF-8 file is a ParseError, an
-    empty table a DomainError.
-    """
-    width, rows = 1 + required + optional, []
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            for row in csv.reader(fh):
-                first = row[0].strip() if row else ""
-                if first.lower() in ("", "n") or first.startswith("#"):
-                    continue
-                if not required < len(row) <= width:
-                    raise ValueError("row %r: expected %s cells, got %d" % (
-                        ",".join(row), " or ".join(
-                            map(str, range(required + 1, width + 1))), len(row)))
-                rows.append((int(first), [float(c) for c in row[1:]]
-                             + [0.0] * (width - len(row))))
-    except OSError as exc:
-        raise ParseError("cannot read %s %r: %s"
-                         % (what, path, exc.strerror or exc)) from None
-    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
-        raise ParseError("malformed %s %r: %s" % (what, path, exc)) from None
-    if not rows:
-        raise DomainError("empty %s %r" % (what, path))
-    rows.sort(key=lambda row: row[0])
-    if [n for n, _ in rows] != list(range(len(rows))):
-        raise ParseError("malformed %s %r: n must run over 0..%d, each once"
-                         % (what, path, len(rows) - 1))
-    return list(zip(*(cells for _, cells in rows)))
-
-
-def load_table(path):
-    """Read a finite sequence table from CSV with columns n,a[,b]."""
-    a_values, b_values = _read_table(path, "sequence table", 1, optional=1)
-    return SequencePair.from_table(a_values, b_values, name="table:%s" % path)

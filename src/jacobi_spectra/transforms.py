@@ -35,7 +35,7 @@ from . import diagnostics as _diag
 from .diagnostics import overall_verdict
 from .recurrence import _elementwise, _exp_signed
 from .sequences import (SequencePair, _Sequences, _arange, _checked, _items,
-                        _power, _read_table, _zeros)
+                        _power, _zeros)
 
 __all__ = [
     "BirthDeathRates",
@@ -48,7 +48,6 @@ __all__ = [
     "bd_interleaved",
     "bd_square_root_route",
     "bd_check_theorem_51",
-    "load_rates_csv",
     "parse_rates",
 ]
 
@@ -133,6 +132,7 @@ class BirthDeathRates(_Sequences):
     """
 
     name = "rates"
+    _table_word = "rates table"
     _rules = {
         "lambda": (lambda values, lo: values > 0.0, lambda n, v, name:
                    "lambda(%d) = %r must be positive" % (n, v)),
@@ -270,7 +270,7 @@ def parse_rates(text):
     Named rate sequences: ``linear`` (lambda(n) = n+1, mu(n) = n) and
     ``quadratic`` (lambda(n) = (n+1)**2, mu(n) = n**2).  Keys are
     case-insensitive and may be given once.  Arbitrary rates go through
-    :func:`load_rates_csv` instead.
+    :meth:`BirthDeathRates.read_table` instead.
     """
     rest = text.removeprefix("bd:")
     fields = {key: value for key, value, _ in _items(
@@ -285,8 +285,3 @@ def parse_rates(text):
         _RATE_FAMILIES[lam_name][0], _RATE_FAMILIES[mu_name][1],
         name="bd:lam=%s,mu=%s" % (lam_name, mu_name))
 
-
-def load_rates_csv(path):
-    """Rates from CSV with columns (n, lambda, mu)."""
-    lam, mu = _read_table(path, "rates table", 2)
-    return BirthDeathRates.from_table(lam, mu, name="table:%s" % path)

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jacobi_spectra import (ParseError, check_theorem_43, instantiate,
-                            parse_family, s_sequence, verdicts_to_json)
+from jacobi_spectra import (ParseError, SequencePair, check_theorem_43, flip,
+                            instantiate, parse_family, s_sequence, square_even,
+                            square_odd, verdicts_to_json)
 from jacobi_spectra.cli import _resolve_alpha, _resolve_init, main
 from jacobi_spectra.recurrence import _LOG_HUGE, _exp_signed, _sign_log_abs
 
@@ -259,6 +260,11 @@ TABLES = {
     "rates_float_index": "0,1,0\n1,2,1\n2,3,2\n3.0,9,9\n",
     "rates_gap": "0,1,0\n1,2,1\n3,4,3\n",
     "rates_repeated": "0,1,0\n1,2,1\n1,3,2\n2,4,3\n",
+    # int() and float() would read "_" separators and non-ASCII digits
+    "underscore": "n,a,b\n0,1_5,0\n1,2,0\n2,3,0\n",
+    "arabic_index": "0,1\n\u0661,2\n2,3\n3,4\n",
+    "rates_arabic": "0,1,0\n1,2,1\n2,3,2\n3,4,\u0663\n",
+    "rates_underscore_index": "0,1,0\n1,2,1\n2,3,2\n0_3,4,3\n",
     # a cell past the csv module's field size limit
     "big_field": '0,"' + "1" * 200000 + "\n",
     # a(3)/a(2) = 1e-200: Shat(3)/Shat(2) is about 1e400
@@ -284,7 +290,7 @@ def table_paths(tmp_path):
     (tmp_path / "bin.csv").write_bytes(b"0,1\n\xff\xfe,2\n")  # not UTF-8
     for name, text in TABLES.items():
         paths[name] = str(tmp_path / (name + ".csv"))
-        (tmp_path / (name + ".csv")).write_text(text)
+        (tmp_path / (name + ".csv")).write_text(text, encoding="utf-8")
     return paths
 
 
@@ -410,6 +416,12 @@ def table_paths(tmp_path):
       "--bin", "0.1", "--weights"], 2),
     (["spectrum", "--seq", "const", "--size", "5", "--window=0,1",
       "--bin", "0.1", "--tol", "1e-9"], 2),
+    # a number with "_" or a non-ASCII digit is malformed in every table
+    (["transform", "flip", "--seq", "table:{underscore}", "--n", "3"], 2),
+    (["analyze", "--seq", "const", "--alpha", "table:{arabic_index}",
+      "--n", "3"], 2),
+    *[(["transform", "bd", "--rates", "{%s}" % name, "--n", "3"], 2)
+      for name in ("rates_arabic", "rates_underscore_index")],
 ])
 def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
     argv = [a.format(**table_paths(tmp_path)) for a in argv]
@@ -551,6 +563,25 @@ def test_alpha_table_rows_may_come_in_any_order(tmp_path):
                     "--n", "300", "--out", str(out)]) == 0
         reports.append((out / "verdict.json").read_text())
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("kind, spec", [
+    ("flip", "chihara"),
+    ("even", "pow:alpha=0.37"),
+    ("odd", "paired:eps=0.01,inner=pow,alpha=1"),
+])
+def test_transform_table_reads_back_as_its_sequence(kind, spec, tmp_path):
+    # transform writes n,a,b, the layout of a sequence table
+    assert run(["transform", kind, "--seq", spec, "--n", "300",
+                "--out", str(tmp_path)]) == 0
+    table = SequencePair.read_table(str(tmp_path / (kind + ".csv")))
+    derived = {"flip": flip, "even": square_even,
+               "odd": square_odd}[kind](instantiate(spec))
+    assert table.length == 300
+    assert bits(table.a_array(300)).tolist() == bits(
+        derived.a_array(300)).tolist()
+    assert bits(table.b_array(300)).tolist() == bits(
+        derived.b_array(300)).tolist()
 
 
 def test_density_through_exact_zero_pivots_is_silent(tmp_path, capsys):

@@ -319,6 +319,16 @@ def test_liminf_paired_eigenvalue_family_decays():
     assert 0.0 < est.tail_min_raw < 1e-3
 
 
+def test_liminf_raw_min_is_nan_once_raw_s_overflows():
+    # lam = 5 is far outside [-2, 2]: raw S grows like an exponential
+    seq = instantiate("const")
+    trace = s_sequence(seq, WeightSequence.ones(), 5.0,
+                       poly_init(seq, 5.0), 1000)
+    est = liminf_estimate(trace, (500, 1000))
+    assert math.isnan(est.tail_min_raw)
+    assert math.isfinite(est.tail_min)
+
+
 def test_liminf_degenerate_window():
     seq = instantiate("pow:alpha=0.5")
     trace = s_sequence(seq, alpha_a(seq), 1.0, poly_init(seq, 1.0), 50)
@@ -365,6 +375,14 @@ def test_corollary_B_fixtures():
     assert by_id(v75, "CorB.b").verdict == "fail"
     vs = check_corollary_B(instantiate("pow-shifted:alpha=0.5"), 10_000)
     assert by_id(vs, "CorB.c").verdict == "fail"
+    # a(n) = (n+1)**0.1 grows, but too slowly to tell by n = 1000
+    v01 = check_corollary_B(instantiate("pow:alpha=0.1"), 1000)
+    assert by_id(v01, "CorB.a").verdict == "inconclusive"
+    # |b(150)|/a(150) = 3 in the tail: limsup |b|/a < 2 fails
+    b = np.zeros(200)
+    b[150] = 3.0
+    vb = check_corollary_B(SequencePair.from_table(np.ones(200), b), 198)
+    assert by_id(vb, "CorB.d").verdict == "fail"
 
 
 def test_corollary_C_chihara():

@@ -60,6 +60,11 @@ def test_propagate_needs_positive_length():
         list(propagate(seq, 0.0, EigvecInit(1.0, 0.0), 0))
 
 
+def test_poly_eval_needs_nonnegative_n_max():
+    with pytest.raises(DomainError, match="n_max must be >= 0"):
+        poly_eval(instantiate("const"), 0.5, -1)
+
+
 # --- exactness on the free matrix ------------------------------------------
 
 

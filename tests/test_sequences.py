@@ -17,7 +17,7 @@ from jacobi_spectra import (
     parse_family,
     render_family,
 )
-from jacobi_spectra.sequences import _first_iterlog_valid, load_table
+from jacobi_spectra.sequences import _first_iterlog_valid
 
 
 # --- parsing ---------------------------------------------------------------
@@ -70,6 +70,8 @@ def test_parse_table_special_form(tmp_path):
     # keys the family does not take, and repeated keys
     "paired:epsilon=0.01,inner=pow,alpha=1", "const:alpha=2", "chihara:eps=5",
     "pow:alpha=1,alpha=3", "iterlog:K=2,k=3,m=16",
+    # a negative iterated-log depth
+    "iterlog:k=-1,m=16",
 ])
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
@@ -331,16 +333,39 @@ def test_iterlog_g_prime_finite_difference(K, x):
 
 # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
 @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
-def test_load_table_sorts_and_defaults_b(bom, tmp_path):
+def test_read_table_sorts_and_defaults_b(bom, tmp_path):
     p = tmp_path / "t.csv"
     p.write_text(bom + "n,a\n1,2.0\n0,1.0\n2,3.0\n", encoding="utf-8")
-    seq = load_table(str(p))
+    seq = SequencePair.read_table(str(p))
+    assert seq.name == "table:%s" % p
     assert seq.a_array(3).tolist() == [1.0, 2.0, 3.0]
     assert seq.b_array(3).tolist() == [0.0, 0.0, 0.0]
 
 
-def test_load_table_empty_is_error(tmp_path):
+def test_read_table_empty_is_error(tmp_path):
     p = tmp_path / "e.csv"
     p.write_text("n,a,b\n")
     with pytest.raises(DomainError):
-        load_table(str(p))
+        SequencePair.read_table(str(p))
+
+
+# int() and float() also read "_" separators and non-ASCII digits: a table
+# refuses them in the words they use for a bad index or number
+@pytest.mark.parametrize("text, message", [
+    ("0,1_5\n", "could not convert string to float: '1_5'"),
+    ("0,1\n\u0661,2\n", "invalid literal for int() with base 10: '\u0661'"),
+    ("0, \uff11\n", "could not convert string to float: ' \uff11'"),
+    ("1_0,1\n", "invalid literal for int() with base 10: '1_0'"),
+])
+def test_read_table_refuses_underscores_and_non_ascii(text, message, tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        WeightSequence.read_table(str(p))
+    assert str(exc.value) == "malformed alpha table %r: %s" % (str(p), message)
+
+
+def test_read_table_keeps_spaces_and_signs(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(" 1 , +2 \n0,1e-3\n")
+    assert WeightSequence.read_table(str(p)).array(2).tolist() == [1e-3, 2.0]

@@ -60,6 +60,8 @@ def test_truncate_validation():
         Truncation(np.array([0.0, np.inf]), np.array([1.0]))
     with pytest.raises(DomainError):
         Truncation(np.array([0.0, 0.0]), np.array([np.nan]))
+    with pytest.raises(DomainError, match="offdiag must have length N-1"):
+        Truncation([1.0, 2.0], [1.0, 1.0])
 
 
 def test_gershgorin_contains_spectrum():

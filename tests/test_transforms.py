@@ -24,7 +24,6 @@ from jacobi_spectra import (
 from jacobi_spectra.transforms import (
     BirthDeathRates,
     PiWeights,
-    load_rates_csv,
     shift,
 )
 
@@ -236,15 +235,15 @@ def test_parse_rates_strips_prefix():
 
 # a UTF-8 byte-order mark, as a spreadsheet writes, reads the same
 @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
-def test_load_rates_csv(bom, tmp_path):
+def test_rates_read_table(bom, tmp_path):
     p = tmp_path / "rates.csv"
     p.write_text(bom + "n,lambda,mu\n1,2.0,1.0\n0,1.0,0.0\n2,3.0,2.0\n",
                  encoding="utf-8")
-    rates = load_rates_csv(str(p))
+    rates = BirthDeathRates.read_table(str(p))
     assert rates.lam(0) == 1.0
     assert rates.mu(2) == 2.0
     assert rates.length == 3
     empty = tmp_path / "empty.csv"
     empty.write_text("n,lambda,mu\n")
     with pytest.raises(DomainError):
-        load_rates_csv(str(empty))
+        BirthDeathRates.read_table(str(empty))
