@@ -414,15 +414,17 @@ def overall_verdict(verdicts):
 # --- theorem checkers ------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _checker_arrays(seq, n_max, check=lambda N: None):
-    """(N, a(0..N+1), b(0..N+1)) of a checker graded on n = 0..N, N >= 100,
-    under the float policy; ``check(N)`` runs before the first read, so a
-    checker's own argument errors keep their order."""
+def _checker_size(n_max):
+    """N of a checker graded on n = 0..N; it must be at least 100."""
     if n_max < 100:
         raise DomainError("n_max must be >= 100")
-    N = int(n_max)
-    check(N)
+    return int(n_max)
+
+
+@contextlib.contextmanager
+def _checker_arrays(seq, n_max):
+    """(N, a(0..N+1), b(0..N+1)) of a checker, under the float policy."""
+    N = _checker_size(n_max)
     # a new errstate per use: a shared instance nests only on numpy >= 2
     with np.errstate(all="ignore"):
         yield N, seq.a_array(N + 2), seq.b_array(N + 2)
@@ -561,23 +563,20 @@ def check_theorem_43(seq, K, n_max):
     where every iterated log in g_K(n) is positive; boundedness of b(n) is
     graded as the negation of |b(n)| -> inf.
     """
-    n_start = None
-
-    def check_start(N):
-        nonlocal K, n_start
-        K = int(K)
-        n_start = max(2, _first_iterlog_valid(K))
-        if n_start > N:
-            raise DomainError("the K=%d envelope starts at n=%d, past n_max=%d"
-                              % (K, n_start, N))
-
-    with _checker_arrays(seq, n_max, check_start) as (N, a, b):
+    N = _checker_size(n_max)
+    K = int(K)
+    n_start = max(2, _first_iterlog_valid(K))
+    if n_start > N:
+        raise DomainError("the K=%d envelope starts at n=%d, past n_max=%d"
+                          % (K, n_start, N))
+    with _checker_arrays(seq, n_max) as (N, a, b):
         verdicts = [
             ConditionVerdict("Thm43.a", *_grade_growth_to_inf(a[: N + 1]))]
         ns_b = np.arange(n_start, N + 1)
         ratio = a[n_start: N + 1] / a[n_start - 1: N]
-        envelope = 1.0 + 1.0 / ns_b
-        for g_j in _iterlogs(ns_b.astype(float), K)[1:]:
+        # g_0 = 1 gives the 1/n term
+        envelope = 1.0
+        for g_j in _iterlogs(ns_b.astype(float), K):
             envelope += 1.0 / (ns_b * g_j)
         slack = np.maximum(0.0, np.maximum(1.0 - ratio, ratio - envelope))
         del ns_b, ratio, envelope

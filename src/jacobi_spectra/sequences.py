@@ -409,7 +409,7 @@ def iterlog_g_prime(K, x):
 
 # --- mini-language ---------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
+_NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -504,10 +504,13 @@ def _parse_family(text, offset):
              if sep else ())
     for key, value, position in items:
         if key == "inner":
-            # the inner spec is the rest of the text, its first ',' its ':'
+            # the inner spec is the rest of the text; a ',' before any ':'
+            # is its ':' (a table path keeps its commas)
             at = rest.index("=", position - start) + 1
-            inner_spec = _parse_family(rest[at:].replace(",", ":", 1),
-                                       start + at)
+            inner = rest[at:]
+            if ":" not in inner.partition(",")[0]:
+                inner = inner.replace(",", ":", 1)
+            inner_spec = _parse_family(inner, start + at)
             break
         params.append((key, _parse_number(value, position + len(key) + 1)))
 

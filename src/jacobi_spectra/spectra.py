@@ -128,11 +128,14 @@ def truncate(seq, order):
     return Truncation(seq.b_array(order), seq.a_array(order - 1))
 
 
-def _sturm_counts_vec(diag, off2, shifts, pivmin, log_derivative=False):
-    """Sturm counts for a vector of shifts simultaneously.
+def _sturm_counts(t, shifts, log_derivative=False):
+    """Sturm counts of a truncation for a vector of shifts simultaneously.
 
-    The pivots ``d_i = (b_i - s) - q_i``, ``q_i = a_{i-1}**2 / d_{i-1}``,
-    are computed in blocks of rows of a ``(rows, shifts)`` buffer of at
+    Order 1 counts ``b(0) < shift``, strictly, with no pivot substitution
+    and no log-derivative.  From order 2 on, :func:`_sturm_setup` runs
+    first, so its :class:`DomainError` comes before any count.  The
+    pivots ``d_i = (b_i - s) - q_i``, ``q_i = a_{i-1}**2 / d_{i-1}``, are
+    computed in blocks of rows of a ``(rows, shifts)`` buffer of at
     most ``_BLOCK_ELEMENTS`` floats.  One ``np.subtract.outer`` fills a
     block with ``b_i - s``; each row then costs two numpy calls, a divide
     and a subtract in place.  The pivmin test and the count of negative
@@ -156,7 +159,10 @@ def _sturm_counts_vec(diag, off2, shifts, pivmin, log_derivative=False):
     one scratch row for every q_i and do none of this.
     """
     shifts = np.asarray(shifts, dtype=float)
-    N, m = len(diag), len(shifts)
+    if t.order == 1:
+        return (t.diag[0] < shifts).astype(np.int64)
+    off2, pivmin = _sturm_setup(t)
+    diag, N, m = t.diag, t.order, len(shifts)
     block = max(1, _BLOCK_ELEMENTS // max(1, m))
     rows_max = min(block, N - 1)
     # row 0 carries the last pivot row of the previous block
@@ -226,20 +232,6 @@ def _sturm_setup(t):
     return off2, _SAFE_MIN * scale
 
 
-def _sturm_counts(t):
-    """The Sturm counter of a truncation: a function shifts -> counts.
-
-    ``_sturm_setup`` runs once, here, so its :class:`DomainError` comes
-    before any count.  Order 1 counts ``b(0) < shift``, strictly, with no
-    pivot substitution.
-    """
-    if t.order == 1:
-        return lambda shifts: (t.diag[0] < np.asarray(shifts)).astype(np.int64)
-    off2, pivmin = _sturm_setup(t)
-    return lambda shifts, log_derivative=False: _sturm_counts_vec(
-        t.diag, off2, shifts, pivmin, log_derivative)
-
-
 def sturm_count(t, x):
     """Number of eigenvalues of the truncation below x.
 
@@ -250,7 +242,7 @@ def sturm_count(t, x):
     sqrt 2) at x=0 gives 2.  At order 1 the count is ``b(0) < x``,
     strictly below.
     """
-    return int(_sturm_counts(t)([x])[0])
+    return int(_sturm_counts(t, [x])[0])
 
 
 def eigenvalues(t, tol=None, weights=False):
@@ -285,11 +277,12 @@ def eigenvalues(t, tol=None, weights=False):
     if N == 1:
         eigs = np.array([t.diag[0]])
     else:
-        counter = _sturm_counts(t)
+        # its DomainError comes before any sweep: a tol wider than the
+        # Gershgorin interval isolates with none
+        _sturm_setup(t)
         pad = 1e-6 * max(ghi - glo, 1.0)
-        eigs, (lo, hi, k), sweeps = _isolate(counter, N, glo - pad, ghi + pad,
-                                             tol)
-        eigs[k] = _polish(counter, lo, hi, k, tol, _MAX_SWEEPS - sweeps)
+        eigs, (lo, hi, k), sweeps = _isolate(t, glo - pad, ghi + pad, tol)
+        eigs[k] = _polish(t, lo, hi, k, tol, _MAX_SWEEPS - sweeps)
     w = None
     if weights:
         w = _gauss_weights(t, eigs)
@@ -300,14 +293,14 @@ def eigenvalues(t, tol=None, weights=False):
     return TruncationSpectrum(order=N, eigenvalues=eigs, weights=w)
 
 
-def _isolate(counter, order, lo, hi, tol):
+def _isolate(t, lo, hi, tol):
     """Phase 1: multisect [lo, hi] until every interval holds one eigenvalue.
 
     Each interval carries (lo, hi, count(lo), count(hi)) and the intervals
     stay in increasing order.  A sweep splits every interval that holds
     c >= 2 eigenvalues at the c points lo + (hi - lo) j / (c + 1),
     j = 1..c, into c + 1 pieces (Lo, Philippe & Sameh 1987), so one sweep
-    counts at most ``order`` shifts, in increasing order.  Where rounding
+    counts at most ``t.order`` shifts, in increasing order.  Where rounding
     puts a point on the one before it or on ``hi``, the point is dropped
     and its two pieces are one.  A piece with several eigenvalues is split
     again, one with one leaves the shift vector for phase 2, one with none
@@ -317,9 +310,9 @@ def _isolate(counter, order, lo, hi, tol):
     placed, NaN elsewhere; the isolating intervals as arrays (lo, hi,
     index of their eigenvalue); sweeps run).
     """
-    eigs = np.full(order, np.nan)
+    eigs = np.full(t.order, np.nan)
     lo, hi = np.array([lo]), np.array([hi])
-    nlo, nhi = np.array([0]), np.array([order])
+    nlo, nhi = np.array([0]), np.array([t.order])
     isolated = [(lo[:0], hi[:0], nlo[:0])]
     sweeps = 0
     while len(lo):
@@ -345,7 +338,7 @@ def _isolate(counter, order, lo, hi, tol):
         x, owner = x[keep], owner[keep]
         # clipped and nondecreasing, so that the intervals always
         # partition 0..order-1
-        count = np.clip(counter(x), nlo[owner], nhi[owner])
+        count = np.clip(_sturm_counts(t, x), nlo[owner], nhi[owner])
         np.maximum.accumulate(count, out=count)
         sweeps += 1
         # interval i becomes the pieces between lo[i], its kept points, hi[i]
@@ -359,12 +352,12 @@ def _isolate(counter, order, lo, hi, tol):
     return eigs, [np.concatenate(v) for v in zip(*isolated)], sweeps
 
 
-def _polish(counter, lo, hi, k, tol, sweeps):
+def _polish(t, lo, hi, k, tol, sweeps):
     """Phase 2: safeguarded Newton for eigenvalue k[j] in (lo[j], hi[j]).
 
     Each sweep takes the counts and the Newton steps -1 / sum d'/d at the
-    current points in one pass of the kernel.  The count puts the point
-    on one end of its bracket.  A node is final when its step is at most
+    current points in one :func:`_sturm_counts` pass.  The count puts the
+    point on one end of its bracket.  A node is final when its step is at most
     ``tol`` and lands in the closed bracket, or when the bracket is at
     most ``tol`` wide or has no float strictly inside; it leaves the
     shift vector.  Otherwise the next point is the Newton iterate if it
@@ -381,7 +374,7 @@ def _polish(counter, lo, hi, k, tol, sweeps):
     for _ in range(sweeps):
         if not len(todo):
             break
-        count, slope = counter(x, log_derivative=True)
+        count, slope = _sturm_counts(t, x, log_derivative=True)
         above = count > k
         lo, hi = np.where(above, lo, x), np.where(above, x, hi)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -428,7 +421,7 @@ def density_report(seq, order, window, bin_width):
                           % (n_bins, _MAX_BINS))
     t = truncate(seq, order)
     edges = x_lo + bin_width * np.arange(n_bins + 1)
-    counts = _sturm_counts(t)(edges)
+    counts = _sturm_counts(t, edges)
     return [
         (float(edges[i]), float(edges[i + 1]), int(counts[i + 1] - counts[i]))
         for i in range(n_bins)

@@ -88,13 +88,11 @@ def _square_restriction(seq, s, kind):
 
     def b(lo, hi):
         zero_b(2 * lo + s, 2 * hi + s - 1, 2)
-        first = max(2 * lo + s - 1, 0)
-        parent = seq.a_array(2 * hi + s - 1, start=first)
-        at = 2 * lo + s - first             # where a(2n+s) starts
-        prev = _power(parent[1 - at::2], 2.0)
-        values = _power(parent[at::2], 2.0)
-        values[len(values) - len(prev):] += prev
-        return values
+        first = 2 * lo + s - 1              # pairs a(2n+s-1), a(2n+s)
+        parent = seq.a_array(2 * hi + s - 1, start=max(first, 0))
+        # a zero in front for a(-1) = 0
+        squares = _power(np.concatenate((np.zeros(-min(first, 0)), parent)), 2.0)
+        return squares[1::2] + squares[0::2]
 
     return SequencePair.from_builders(a, b, name="%s(%s)" % (kind, seq.name))
 

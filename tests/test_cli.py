@@ -422,6 +422,10 @@ def table_paths(tmp_path):
       "--n", "3"], 2),
     *[(["transform", "bd", "--rates", "{%s}" % name, "--n", "3"], 2)
       for name in ("rates_arabic", "rates_underscore_index")],
+    # so is a family-spec number
+    *[(["transform", "flip", "--seq", seq, "--n", "3"], 2)
+      for seq in ("pow:alpha=\u0661", "pow:alpha=\uff11.5",
+                  "iterlog:k=\u0662,m=16")],
 ])
 def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
     argv = [a.format(**table_paths(tmp_path)) for a in argv]
@@ -467,6 +471,10 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
      "b(5) requested from 'table:{five}' of length 5"),
     (["transform", "even", "--seq", "table:{five}", "--n", "3"],
      "b(5) requested from 'table:{five}' of length 5"),
+    # a tol wider than the Gershgorin interval isolates with no sweep; the
+    # overflow is still found
+    (["spectrum", "--seq", "pow:alpha=150", "--size", "50", "--tol", "1e300"],
+     "squared off-diagonal overflows binary64: max a = 3.38385702007491e+253"),
 ])
 def test_bad_input_error_line(argv, line, tmp_path, capsys):
     paths = table_paths(tmp_path)

@@ -65,6 +65,10 @@ def test_poly_eval_needs_nonnegative_n_max():
         poly_eval(instantiate("const"), 0.5, -1)
 
 
+def test_poly_trace_length_is_n_max_plus_one():
+    assert len(poly_eval(instantiate("const"), 0.5, 10)) == 11
+
+
 # --- exactness on the free matrix ------------------------------------------
 
 

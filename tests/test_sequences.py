@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobi_spectra import (
     BirthDeathRates,
     DomainError,
+    FamilySpec,
     ParseError,
     SequencePair,
     WeightSequence,
@@ -72,10 +74,23 @@ def test_parse_table_special_form(tmp_path):
     "pow:alpha=1,alpha=3", "iterlog:K=2,k=3,m=16",
     # a negative iterated-log depth
     "iterlog:k=-1,m=16",
+    # numbers are ASCII: Arabic-Indic and full-width digits are not digits
+    "pow:alpha=\u0661", "pow:alpha=\uff11.5", "iterlog:k=\u0662,m=16",
 ])
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
         parse_family(text)
+
+
+def test_paired_inner_table_path_keeps_its_commas(tmp_path):
+    p = tmp_path / "a,b.csv"
+    p.write_text("n,a,b\n0,1.5,0\n1,2.5,1\n")
+    for sep in (":", ","):
+        spec = parse_family("paired:eps=1,inner=table%s%s" % (sep, p))
+        assert spec.inner == FamilySpec("table", path=str(p))
+        assert instantiate(spec.inner).a(1) == 2.5
+        assert parse_family(render_family(spec)) == spec
+        instantiate(spec)
 
 
 def test_parse_error_reports_position():
@@ -203,6 +218,23 @@ def test_catalog_positivity(text):
 
 
 # --- SequencePair / WeightSequence -----------------------------------------
+
+
+def test_repr_names_the_family():
+    assert repr(instantiate("const")) == "SequencePair('const')"
+
+
+def test_unknown_family_spec_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"^unknown family 'bogus'$"):
+        instantiate(FamilySpec("bogus"))
+
+
+def test_builder_of_the_wrong_shape_is_a_runtime_error():
+    seq = SequencePair.from_builders(lambda lo, hi: np.ones(1),
+                                     lambda lo, hi: np.zeros(hi - lo))
+    with pytest.raises(RuntimeError, match=r"^a builder gave shape \(1,\) "
+                                           r"for 5 entries$"):
+        seq.a_array(5)
 
 
 def test_sequence_pair_rejects_nonpositive_a():

@@ -26,8 +26,8 @@ from jacobi_spectra.spectra import (
     _BLOCK_ELEMENTS,
     _MAX_BINS,
     _gauss_weights,
+    _sturm_counts,
     _sturm_setup,
-    _sturm_counts_vec,
     write_density_csv,
     write_spectrum_csv,
 )
@@ -108,15 +108,18 @@ def test_sturm_count_matches_scipy():
             assert sturm_count(t, float(x)) == int(np.sum(eigs < x))
 
 
-def _sturm_counts_index_loop(diag, off2, shifts, pivmin, log_derivative=False):
+def _sturm_counts_index_loop(t, shifts, log_derivative=False):
     """Reference Sturm sweep: index loop, np.where pivot substitution.
 
-    With ``log_derivative`` it also returns sum_i d'_i / d_i, where
-    d'_i = -1 + q_i d'_{i-1} / d_{i-1}, q_i = a_{i-1}**2 / d_{i-1}, is
-    carried as the ratio r_i = d'_i / d_i = (q_i / d_i) r_{i-1} - 1 / d_i
-    and added row by row.
+    Order 1 counts b(0) < shift, strictly.  With ``log_derivative`` it also
+    returns sum_i d'_i / d_i, where d'_i = -1 + q_i d'_{i-1} / d_{i-1},
+    q_i = a_{i-1}**2 / d_{i-1}, is carried as the ratio
+    r_i = d'_i / d_i = (q_i / d_i) r_{i-1} - 1 / d_i and added row by row.
     """
     shifts = np.asarray(shifts, dtype=float)
+    if t.order == 1:
+        return (t.diag[0] < shifts).astype(np.int64)
+    diag, (off2, pivmin) = t.diag, _sturm_setup(t)
     d = diag[0] - shifts
     d = np.where(np.abs(d) < pivmin, -pivmin, d)
     count = (d < 0.0).astype(np.int64)
@@ -171,15 +174,15 @@ def _pivot_hits_at(order, hits):
 
 
 def _assert_counts_match(t, shifts):
-    """Counts of both kernel modes, and the log-derivative sum, bit for bit
-    against the index loop."""
-    off2, pivmin = _sturm_setup(t)
-    got = _sturm_counts_vec(t.diag, off2, shifts, pivmin)
-    expected, total = _sturm_counts_index_loop(t.diag, off2, shifts, pivmin,
-                                               log_derivative=True)
+    """Counts of both modes of the counting function, and the
+    log-derivative sum from order 2 on, bit for bit against the index loop."""
+    got = _sturm_counts(t, shifts)
+    if t.order == 1:
+        assert np.array_equal(got, _sturm_counts_index_loop(t, shifts))
+        return
+    expected, total = _sturm_counts_index_loop(t, shifts, log_derivative=True)
     assert np.array_equal(got, expected)
-    newton, got_total = _sturm_counts_vec(t.diag, off2, shifts, pivmin,
-                                          log_derivative=True)
+    newton, got_total = _sturm_counts(t, shifts, log_derivative=True)
     assert np.array_equal(newton, got)
     assert np.array_equal(got_total.view(np.int64), total.view(np.int64))
 
@@ -236,7 +239,7 @@ def test_sturm_counts_match_index_loop_at_exact_eigenvalues():
 def test_eigenvalues_bitwise_match_index_loop(text, order, monkeypatch):
     t = truncate(instantiate(text), order)
     got = eigenvalues(t).eigenvalues
-    monkeypatch.setattr(spectra, "_sturm_counts_vec", _sturm_counts_index_loop)
+    monkeypatch.setattr(spectra, "_sturm_counts", _sturm_counts_index_loop)
     expected = eigenvalues(t).eigenvalues
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -245,7 +248,7 @@ def test_density_counts_match_index_loop(monkeypatch):
     args = (instantiate("chihara"), 20000, (0.0, 80000.0), 784.12)
     got = density_report(*args)
     assert len(got) == 103
-    monkeypatch.setattr(spectra, "_sturm_counts_vec", _sturm_counts_index_loop)
+    monkeypatch.setattr(spectra, "_sturm_counts", _sturm_counts_index_loop)
     assert got == density_report(*args)
 
 
@@ -336,15 +339,14 @@ def test_eigenvalues_rejects_bad_tol():
 
 
 def _recorded_sweeps(monkeypatch):
-    """(log_derivative, shifts) of every kernel call, in call order."""
+    """(log_derivative, shifts) of every Sturm sweep, in call order."""
     calls = []
-    kernel = spectra._sturm_counts_vec
 
-    def recording(diag, off2, shifts, pivmin, log_derivative=False):
+    def recording(t, shifts, log_derivative=False):
         calls.append((log_derivative, np.array(shifts)))
-        return kernel(diag, off2, shifts, pivmin, log_derivative)
+        return _sturm_counts(t, shifts, log_derivative)
 
-    monkeypatch.setattr(spectra, "_sturm_counts_vec", recording)
+    monkeypatch.setattr(spectra, "_sturm_counts", recording)
     return calls
 
 
@@ -371,15 +373,17 @@ def _isolated(t, tol=None, lo=None, hi=None):
     pad = 1e-6 * max(ghi - glo, 1.0)
     if tol is None:
         tol = 1e-12 * max(abs(glo), abs(ghi), 1.0)
-    counter, shifts = spectra._sturm_counts(t), []
+    shifts = []
 
-    def recording(x):
+    def recording(t, x):
         shifts.append(np.array(x))
-        return counter(x)
+        return _sturm_counts(t, x)
 
-    eigs, brackets, sweeps = spectra._isolate(
-        recording, t.order, glo - pad if lo is None else lo,
-        ghi + pad if hi is None else hi, tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "_sturm_counts", recording)
+        eigs, brackets, sweeps = spectra._isolate(
+            t, glo - pad if lo is None else lo,
+            ghi + pad if hi is None else hi, tol)
     assert sweeps == len(shifts)
     return eigs, brackets, shifts
 
@@ -447,8 +451,8 @@ def test_newton_on_an_exact_eigenvalue(monkeypatch):
     assert _hit_rows(t, 0.0) == [0]
     # the bracket (-1, 1) puts the first Newton point on 0 itself, where
     # the first pivot is substituted; the step there is about -pivmin / 2
-    node = spectra._polish(spectra._sturm_counts(t), np.array([-1.0]),
-                           np.array([1.0]), np.array([1]), 1e-12, 5)
+    node = spectra._polish(t, np.array([-1.0]), np.array([1.0]),
+                           np.array([1]), 1e-12, 5)
     assert np.isfinite(node[0]) and abs(node[0]) <= pivmin
     # the middle of the first sweep's three points is 0, so the middle
     # eigenvalue's bracket ends on it; Newton steps past that end go to it
