@@ -17,6 +17,11 @@ runs (exit 2 otherwise).  It holds, per workload:
 * the median and quartiles of every end-to-end metric on each side, and
   the pairs the change won (its value better than the base's in that
   pair);
+* per metric, ``gain``: the change won at least 0.9 of the pairs and its
+  median is better than the base's by more than the base's q3 - q1; and
+  ``within_bound``: the change's median is not worse than the base's by
+  more than the metric's ``bound`` in ``BENCHMARK.json``, a fraction of
+  the base median;
 * the oracle values of every job and whether they are equal on both sides;
 * whether each job's output digest is equal on both sides;
 * the failed-job counts, and the machine fingerprint of the first run.
@@ -102,10 +107,15 @@ def compare(runs, metrics):
                   for side in ("base", "change")}
         wins = [(c < b) if lower else (c > b)
                 for b, c in zip(values["base"], values["change"])]
-        out["metrics"][name] = {"unit": m["unit"], "better": m["better"],
-                                "base": spread(values["base"]),
-                                "change": spread(values["change"]),
-                                "change_wins": sum(wins), "pairs": len(wins)}
+        base, change = spread(values["base"]), spread(values["change"])
+        # how much better the change's median is than the base's
+        gap = (base["median"] - change["median"]) * (1 if lower else -1)
+        out["metrics"][name] = {
+            "unit": m["unit"], "better": m["better"], "base": base,
+            "change": change, "change_wins": sum(wins), "pairs": len(wins),
+            "gain": (sum(wins) >= 0.9 * len(wins)
+                     and gap > base["q3"] - base["q1"]),
+            "within_bound": gap >= -m["bound"] * base["median"]}
     reports = {side: [r[side][1] for r in runs] for side in ("base", "change")}
     first = {side: reports[side][0] for side in reports}
     out["oracles"] = {side: oracle_values(first[side]) for side in first}

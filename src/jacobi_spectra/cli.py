@@ -32,6 +32,7 @@ Exit codes: 0 success (including failing verdicts), 2 spec/usage errors,
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -312,8 +313,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of this process: ``main`` may run many times."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with _outputs(args) as path:
             args.func(args, path)

@@ -9,7 +9,8 @@ are single-index views of the same builders.  A custom
 through a per-index builder.  The Jacobi data, the weights alpha of
 :class:`WeightSequence` and the birth-death rates of
 ``transforms.BirthDeathRates`` share one checked path, ``_Sequences``:
-one index policy, one range check per rule and one wording of faults.  A
+one index policy, one range check per rule and one wording of faults; it
+keeps each label's longest checked range and hands out read-only arrays.  A
 small flat mini-language ("family specs") names the catalog of concrete
 sequence families used throughout the package:
 
@@ -180,6 +181,7 @@ class _Sequences:
                 type(self).__name__, len(self._rules),
                 " and ".join(self._rules), len(fns)))
         self._build = dict(zip(self._rules, map(_per_index, fns)))
+        self._kept = {}             # label -> (start, stop, checked array)
         if name is not None:
             self.name = name
         self.length = length
@@ -241,9 +243,20 @@ class _Sequences:
                               name="table:%s" % path)
 
     def _values(self, label, lo, hi):
-        """Entries lo..hi-1 of ``label``: the finite part is read and checked
-        whole first, so an entry that breaks its rule, or whose arithmetic
-        faults, is reported before a range past ``length``."""
+        """Entries lo..hi-1 of ``label`` as a read-only array: the finite
+        part is read and checked whole first, so an entry that breaks its
+        rule, or whose arithmetic faults, is reported before a range past
+        ``length``.
+
+        The longest range checked so far is kept per label, and a range
+        inside it is a view of it.  Any other range is built and checked
+        whole; it is kept only if it is at least as long, so single-index
+        reads do not evict a long range, and a run of them builds each
+        entry once.
+        """
+        kept = self._kept.get(label)
+        if kept is not None and kept[0] <= lo <= hi <= kept[1]:
+            return kept[2][lo - kept[0]: hi - kept[0]]
         if lo < 0:
             raise DomainError("sequence index must be >= 0, got %d" % lo)
         end = hi if self.length is None else min(hi, max(lo, self.length))
@@ -256,6 +269,9 @@ class _Sequences:
             raise DomainError(self._past_end % {
                 "label": label, "n": end, "name": self.name,
                 "length": self.length})
+        values.setflags(False)      # write=False; positional is the faster call
+        if kept is None or hi - lo >= kept[1] - kept[0]:
+            self._kept[label] = (lo, hi, values)
         return values
 
     def __repr__(self):
@@ -519,11 +535,18 @@ def _parse_family(text, offset):
     return spec
 
 
+def _render_number(value):
+    """repr(value), but an infinity as the literal that parses back to it."""
+    if math.isinf(value):
+        return "-1e999" if value < 0 else "1e999"
+    return repr(value)
+
+
 def render_family(spec):
     """Canonical textual form; inverse of :func:`parse_family`."""
     if spec.family == "table":
         return "table:%s" % spec.path
-    parts = ["%s=%s" % (k, repr(v)) for k, v in spec.params]
+    parts = ["%s=%s" % (k, _render_number(v)) for k, v in spec.params]
     if spec.inner is not None:
         inner_text = render_family(spec.inner)
         head, _, inner_rest = inner_text.partition(":")
@@ -556,8 +579,14 @@ def _arange(lo, hi):
     return np.arange(lo, hi, dtype=float)
 
 
+_ZERO = np.zeros(1)
+_ZERO.setflags(write=False)
+
+
 def _zeros(lo, hi):
-    return np.zeros(hi - lo)
+    # one read-only zero seen hi - lo times, so a kept zero diagonal costs
+    # no memory (np.broadcast_to gives the same array ten times slower)
+    return np.ndarray((hi - lo,), float, _ZERO, strides=(0,))
 
 
 def _power(base, alpha):

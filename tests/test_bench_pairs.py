@@ -1,6 +1,8 @@
-"""Tests of ``scripts/bench_pairs.py``: its ``--out-dir`` check, and a smoke
-run of one pair with the same rev on both sides."""
+"""Tests of ``scripts/bench_pairs.py``: its ``--out-dir`` check, its verdict
+per metric on synthetic runs, and a smoke run of one pair with the same rev
+on both sides."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -60,3 +62,44 @@ def test_unwritable_out_dir_exits_2_before_any_pair(out_dir, tmp_path):
             "missing": "No such file or directory",
             "file": "Not a directory"}[out_dir])
     assert list(tmp_path.iterdir()) == [tmp_path / "file"]
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(base, change):
+    """Run pairs of one metric "m" with these values, and empty reports."""
+    report = {"oracles": {}, "digests": {}, "jobs": []}
+    return [{side: ({"failed": 0, "metrics": {"m": {"value": value}}}, report)
+             for side, value in (("base", b), ("change", c))}
+            for b, c in zip(base, change)]
+
+
+BASE = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+
+
+@pytest.mark.parametrize("better, change, gain, within_bound", [
+    # 10/10 wins, the medians 0.10 apart against a quartile spread of 0.02
+    ("lower", [v - 0.1 for v in BASE], True, True),
+    ("higher", [v + 0.1 for v in BASE], True, True),
+    # 10/10 wins by 0.005, inside the spread
+    ("lower", [v - 0.005 for v in BASE], False, True),
+    # 8/10 wins
+    ("lower", [v - 0.1 for v in BASE[:8]] + [v + 0.1 for v in BASE[8:]],
+     False, True),
+    # worse by 20% and by 30% against a bound of 24%
+    ("lower", [v * 1.2 for v in BASE], False, True),
+    ("lower", [v * 1.3 for v in BASE], False, False),
+    ("higher", [v * 0.7 for v in BASE], False, False),
+])
+def test_compare_states_each_metrics_verdict(better, change, gain,
+                                             within_bound):
+    metrics = [{"name": "m", "unit": "s", "better": better, "bound": 0.24}]
+    record = _bench_pairs().compare(_runs(BASE, change), metrics)["metrics"]["m"]
+    assert record["gain"] is gain
+    assert record["within_bound"] is within_bound

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -11,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import jacobi_spectra
 from jacobi_spectra import (ParseError, SequencePair, check_theorem_43, flip,
                             instantiate, parse_family, s_sequence, square_even,
                             square_odd, verdicts_to_json)
-from jacobi_spectra.cli import _resolve_alpha, _resolve_init, main
+from jacobi_spectra.cli import _resolve_alpha, _resolve_init, build_parser, main
 from jacobi_spectra.recurrence import _LOG_HUGE, _exp_signed, _sign_log_abs
 
 
@@ -908,3 +911,25 @@ def test_transform_bd(tmp_path):
 def test_transform_even_rejects_nonzero_diagonal(tmp_path):
     assert run(["transform", "even", "--seq", "chihara", "--n", "3",
                 "--out", str(tmp_path)]) == 3
+
+
+# --- one process, many runs --------------------------------------------------
+
+
+def test_a_run_after_a_usage_error_writes_what_it_writes_alone(tmp_path):
+    argv = ["check", "--theorem", "43", "--seq", "iterlog:k=1,m=16", "--n",
+            "300", "--k", "1"]
+    out = tmp_path / "out"
+    src = str(Path(jacobi_spectra.__file__).parents[1])
+    subprocess.run([sys.executable, "-m", "jacobi_spectra.cli", *argv,
+                    "--out", str(out)], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
+    alone = {path.name: path.read_bytes() for path in out.iterdir()}
+    for path in out.iterdir():
+        path.unlink()
+    with pytest.raises(SystemExit) as usage:
+        run(["check", "--theorem", "44", "--n", "300"])
+    assert usage.value.code == 2
+    assert run([*argv, "--out", str(out)]) == 0
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == alone
+    assert build_parser() is not build_parser()

@@ -22,6 +22,7 @@ from jacobi_spectra import (
     bd_square_root_route,
     bd_to_jacobi,
     check_theorem_43,
+    check_theorem_A,
     flip,
     instantiate,
     iterlog_g,
@@ -702,3 +703,75 @@ def test_wrapped_views_use_the_builder_unless_overridden():
     same_bits(SequencePair(counting.a, counting.b).a_array(4),
               ref.a_array(4), 4)
     assert calls == [0, 1, 2, 3]
+
+
+# --- the kept range -----------------------------------------------------------
+
+
+def counting_pair():
+    """a(n) = n + 1 and b == 0, with the ranges its a builder was asked for."""
+    built = []
+
+    def a(lo, hi):
+        built.append(hi - lo)
+        return np.arange(lo + 1, hi + 1, dtype=float)
+
+    return SequencePair.from_builders(a, lambda lo, hi: np.zeros(hi - lo)), built
+
+
+def test_a_checked_range_is_built_once_per_sequence():
+    seq, built = counting_pair()
+    even = square_even(seq)
+    even.a_array(1000)
+    even.b_array(1000)                  # reads a(0..1998) of the parent
+    assert built == [2000]
+    seq, built = counting_pair()
+    check_theorem_A(seq, WeightSequence.from_a(seq), 100)
+    assert built == [102]               # a(0..N+1), alpha = a a view of it
+
+
+def test_single_index_reads_build_each_entry_once():
+    seq, built = counting_pair()
+    for k in range(2000):
+        assert seq.a(k) == k + 1.0
+    assert sum(built) == 2000           # not the union of the ranges so far
+
+
+def test_every_array_path_is_read_only():
+    seq = instantiate("pow:alpha=0.5")
+    rates = parse_rates("lam=linear,mu=linear")
+    alpha = WeightSequence.from_table([1.0, 2.0])
+    reads = [lambda: seq.a_array(10), lambda: seq.b_array(10),
+             lambda: seq.a_array(5, start=2),
+             lambda: square_even(seq).a_array(4),
+             lambda: flip(seq).b_array(4),
+             lambda: WeightSequence.from_a(seq).array(6),
+             lambda: alpha.array(1), lambda: rates.lam_array(4),
+             lambda: rates.mu_array(4, start=1)]
+    for read in reads + reads:          # built, then a view of the kept range
+        values = read()
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+
+
+@pytest.mark.parametrize("new_t", [square_even, square_odd],
+                         ids=["even", "odd"])
+def test_a_warmed_sequence_ends_as_a_fresh_one(new_t, tmp_path):
+    spec = write_table(tmp_path, [(k, 1.0 + k, 0) for k in range(5)])
+    warmed = new_t(instantiate(spec))
+    warmed.a_array(2)
+    warmed.b_array(2)
+    for n in (3, 4):                    # b of even ends at 3, the rest at 2
+        same_outcome(lambda: warmed.a_array(n),
+                     lambda: new_t(instantiate(spec)).a_array(n), n)
+        same_outcome(lambda: warmed.b_array(n),
+                     lambda: new_t(instantiate(spec)).b_array(n), n)
+
+
+def test_a_warmed_sequence_faults_as_a_fresh_one():
+    warmed = instantiate("pow:alpha=400")
+    warmed.a_array(5)                   # a(5) = 6**400 overflows
+    for n in (6, 40):
+        same_fault(lambda: warmed.a_array(n),
+                   lambda: instantiate("pow:alpha=400").a_array(n))

@@ -112,7 +112,8 @@ def test_unknown_or_repeated_key_reports_its_position(text, position):
 
 def test_render_round_trip():
     for text in ["const", "pow:alpha=0.5", "iterlog:k=1,m=16",
-                 "paired:eps=1,inner=pow,alpha=0.5", "chihara"]:
+                 "paired:eps=1,inner=pow,alpha=0.5", "chihara",
+                 "paired:eps=1e999,inner=const", "pow:alpha=-1e999"]:
         spec = parse_family(text)
         assert parse_family(render_family(spec)) == spec
 
