@@ -3,7 +3,7 @@
 Each cell is four little-endian uint64 words: a lead word (separator,
 sign, the ``0.000`` prefix of a small number and the first digit) and
 three words of digits, decimal point and exponent.  Bytes a cell does not
-use are NUL, and the NULs are dropped when a block of rows is written.
+use are NUL, and ``bytes.translate`` drops the NULs of a block of rows.
 
 Float digits are exact.  For a normal x with decimal exponent X, the
 product y = |x| 10^(16 - X) is formed as a double-double: 10^k is a
@@ -15,8 +15,13 @@ near-ties, and every subnormal x, are formatted by ``%``.  An X that
 leaves D outside [10^16, 10^17) is corrected by one and D recomputed.
 The ``%g`` layout follows: fixed notation for -4 <= X < 17, exponent
 notation otherwise, trailing zeros and a bare point stripped, and at
-least two exponent digits.  ``%.17g`` writes -0 and -inf with their sign
-and every NaN as ``nan``.
+least two exponent digits.  A zero takes the same path as 1.0, with its
+first digit set to 0.  ``%.17g`` writes -0 and -inf with their sign and
+every NaN as ``nan``; NaN, ±inf, subnormals and near-ties are the only
+cells written after the array path.
+
+Integer digits are taken in 4-digit chunks, only as many per block as
+its longest number needs.
 
 The tables are built when this module is imported, which
 ``recurrence._write_columns`` does at its first call, not at start-up.
@@ -118,7 +123,7 @@ _NONLEAD = [~_LOW[np.clip(20 - np.arange(21) - 8 * j, 0, 8)] for j in range(3)]
 _POW10 = np.array([10 ** i for i in range(1, 20)], np.uint64)
 del _q, _DOT
 
-_NAN, _INF, _0 = (_U(_word(text)) for text in ("nan", "inf", "0"))
+_NAN, _INF = _U(_word("nan")), _U(_word("inf"))
 
 
 def _significands(a, x):
@@ -145,9 +150,12 @@ def _significands(a, x):
 
 def float_cells(v, out):
     """Write to out[..., 0:4] the cell words of the float64 array v, as
-    ``'%.17g' % x``."""
+    ``'%.17g' % x``.  ±0 takes the array path with first digit 0; only
+    NaN, ±inf, subnormals and near-ties are written after it, by word or
+    by ``%``."""
     a = np.abs(v)
     normal = (a >= np.finfo(np.float64).tiny) & (a <= np.finfo(np.float64).max)
+    zero = a == 0.0
     a[~normal] = 1.0
     x = np.floor(np.log10(a)).astype(np.int64)
     d, floor, tie = _significands(a, x)
@@ -166,6 +174,9 @@ def float_cells(v, out):
         d[top] = 10 ** 16
     lead = d // 10 ** 16
     hi8 = (d - lead * 10 ** 16) // 10 ** 8
+    # a zero went through as 1.0: its first digit is 0, set after hi8,
+    # which would otherwise keep 10^16 and index past _ASCII4
+    lead[zero] = 0
     lo8 = d - (d // 10 ** 8) * 10 ** 8
     c1, c3 = hi8 // 10 ** 4, lo8 // 10 ** 4
     c2, c4 = hi8 - c1 * 10 ** 4, lo8 - c3 * 10 ** 4
@@ -185,30 +196,33 @@ def float_cells(v, out):
     out[..., 2] = ((w2 & k2) | (moved2 << _B8) | _DOT2[q]
                    | (moved1 >> _B56)) & _STRIP[1][keep]
     out[..., 3] = ((moved2 >> _B56) & _STRIP[2][keep]) | _EXPO[ix]
-    odd = ~normal | tie
+    odd = (~normal ^ zero) | tie  # zeros are not normal, but done
     if odd.any():
         nan = np.isnan(v)
         out[odd] = _ZERO
         out[odd & np.signbit(v) & ~nan, 0] = _MINUS
-        for hit, word in ((nan, _NAN), (np.isinf(v), _INF), (v == 0.0, _0)):
-            out[hit, 1] = word
-        for i in map(tuple, np.argwhere(odd & np.isfinite(v) & (v != 0.0))):
+        out[nan, 1] = _NAN
+        out[np.isinf(v), 1] = _INF
+        for i in map(tuple, np.argwhere(odd & np.isfinite(v))):
             out[i][1:] = np.frombuffer(
                 ("%.17g" % abs(v[i])).encode().ljust(24, b"\0"), "<u8")
 
 
 def int_cells(v, out):
     """Write to out[..., 0:4] the cell words of the int64 array v, as
-    ``'%d' % i``."""
+    ``'%d' % i``; the number of 4-digit chunks is set per call by the
+    largest magnitude in v."""
     neg = v < 0
     mag = v.view(np.uint64)
     mag = np.where(neg, ~mag + _U(1), mag)
     # 20 digits of mag in 4-digit chunks, and how many are not leading zeros
     n = np.searchsorted(_POW10, mag, "right") + 1
-    chunks = []
-    for _ in range(5):
+    # only the chunks the block's longest number has; the others are zero
+    # words, which the leading-zero masks drop anyway
+    chunks = [_ZERO] * 5
+    for j in range((int(n.max()) + 3) // 4):
         rest = mag // _U(10000)
-        chunks.append(_ASCII4[mag - rest * _U(10000)])
+        chunks[j] = _ASCII4[mag - rest * _U(10000)]
         mag = rest
     a4, a3, a2, a1, a0 = chunks
     out[..., 0] = np.where(neg, _MINUS, _ZERO)
@@ -218,10 +232,11 @@ def int_cells(v, out):
 
 
 def rows(columns, blank=None):
-    """The CSV rows of equal-length columns, as uint8 arrays of a block of
-    rows each: cells joined by commas, rows ended by CRLF, integer columns
-    as ``%d`` and the rest as ``%.17g``, and the last cell empty in the
-    rows where ``blank`` is true."""
+    """The CSV rows of equal-length columns, as bytes of a block of rows
+    each: cells joined by commas, rows ended by CRLF, integer columns as
+    ``%d`` and the rest as ``%.17g``, and the last cell empty in the rows
+    where ``blank`` is true.  A block's NUL padding is dropped by
+    ``bytes.translate``."""
     runs = []  # (first, end, dtype, fmt) per run of adjacent int/float columns
     for is_int, run in itertools.groupby(
             range(len(columns)), lambda j: columns[j].dtype.kind in "iu"):
@@ -240,5 +255,4 @@ def rows(columns, blank=None):
         if blank is not None:
             cells[blank[start:stop], -1] = [_COMMA, _ZERO, _ZERO, _ZERO]
         words[:, -1] = _CRLF
-        text = words.view(np.uint8)
-        yield text[text != 0]
+        yield words.tobytes().translate(None, b"\0")

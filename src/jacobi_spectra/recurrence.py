@@ -138,23 +138,27 @@ def _propagate_rows(a, b, lam, u0, u1):
     """The (N+1, 3) rows (x, y, logscale) over arrays a(0..N), b(0..N): row 0
     is the normalized pair (u0, u1), the recurrence acts from n = 1 on."""
     a, b = memoryview(a), memoryview(b)
+    hypot, log = math.hypot, math.log
     u0, u1 = float(u0), float(u1)
-    r = math.hypot(u0, u1)
+    r = hypot(u0, u1)
     x, y = u0 / r, u1 / r
-    logscale = math.log(r)
+    logscale = log(r)
     rows = np.empty((len(a), 3))
     # the columns as memoryviews: each step stores three floats in place
     xs, ys, logs = map(memoryview, rows.T)
     xs[0], ys[0], logs[0] = x, y, logscale
+    n = 0
     try:
-        for n in range(1, len(a)):
+        # zip reads a(n-1), a(n) and b(n) for n = 1, 2, ... in one pass
+        for a_prev, a_n, b_n in zip(a, a[1:], b[1:]):
+            n += 1
             # a(n) u(n+1) = (lam - b(n)) u(n) - a(n-1) u(n-1), scale-free
-            y_new = ((lam - b[n]) * y - a[n - 1] * x) / a[n]
-            r = math.hypot(y, y_new)
+            y_new = ((lam - b_n) * y - a_prev * x) / a_n
+            r = hypot(y, y_new)
             # r > 0 in exact arithmetic: y == 0 forces y_new = -a(n-1) x / a(n)
             # != 0, since (x, y) != 0; only that quotient's underflow gives 0
             x, y = y / r, y_new / r
-            logscale += math.log(r)
+            logscale += log(r)
             xs[n], ys[n], logs[n] = x, y, logscale
     except ZeroDivisionError:
         raise DomainError(

@@ -138,9 +138,10 @@ def _sturm_counts(t, shifts, log_derivative=False):
     computed in blocks of rows of a ``(rows, shifts)`` buffer of at
     most ``_BLOCK_ELEMENTS`` floats.  One ``np.subtract.outer`` fills a
     block with ``b_i - s``; each row then costs two numpy calls, a divide
-    and a subtract in place.  The pivmin test and the count of negative
-    pivots run once per block.  Every entry goes through the same IEEE
-    operations as the row-by-row sweep, so a block without a pivot below
+    and a subtract in place, with ``out`` passed by position: parsing it
+    as a keyword costs more per call.  The pivmin test and the count of
+    negative pivots run once per block.  Every entry goes through the same
+    IEEE operations as the row-by-row sweep, so a block without a pivot below
     ``pivmin`` is bit-identical to it.  A block with one keeps its rows
     before the first such row and finishes from that row with the
     row-by-row sweep, which substitutes ``-pivmin``; so each row is
@@ -168,6 +169,7 @@ def _sturm_counts(t, shifts, log_derivative=False):
     # row 0 carries the last pivot row of the previous block
     buf = np.empty((rows_max + 1, m))
     rows = list(buf)
+    divide, subtract, multiply = np.divide, np.subtract, np.multiply
     d = rows[0]
     np.subtract(float(diag[0]), shifts, out=d)
     d[np.abs(d) < pivmin] = -pivmin
@@ -190,8 +192,8 @@ def _sturm_counts(t, shifts, log_derivative=False):
             e2s = off2[lo - 1:hi - 1].tolist()
             np.subtract.outer(b, shifts, out=pivots)
             for prev, d, q, e2 in zip(rows, rows[1:k + 1], qs, e2s):
-                np.divide(e2, prev, out=q)
-                np.subtract(d, q, out=d)
+                divide(e2, prev, q)
+                subtract(d, q, d)
             hits = np.abs(pivots) < pivmin
             if hits.any():
                 first = int(hits.any(axis=1).argmax())
@@ -207,8 +209,8 @@ def _sturm_counts(t, shifts, log_derivative=False):
                 np.divide(u, pivots, out=u)
                 np.divide(1.0, pivots, out=v)
                 for prev, r, ui, vi in zip(rs, rs[1:k + 1], u, v):
-                    np.multiply(ui, prev, out=r)
-                    np.subtract(r, vi, out=r)
+                    multiply(ui, prev, r)
+                    subtract(r, vi, r)
                 rbuf[0] = total
                 np.add.accumulate(rbuf[:k + 1], axis=0, out=vbuf[:k + 1])
                 total[:] = vbuf[k]

@@ -194,6 +194,36 @@ def test_kernel_faults_match_list_reference(a, lam, fault):
     assert str(got.value).startswith("propagation %s at n = 1:" % fault)
 
 
+@pytest.mark.parametrize("n_rows", [1, 2, 3])
+def test_kernel_short_inputs_match_list_reference(n_rows):
+    # the steps zip a(n-1), a(n) and b(n): none at 1 row, one at 2, two at 3
+    seq = instantiate("chihara")
+    a, b = seq.a_array(n_rows), seq.b_array(n_rows)
+    for lam in (0.0, 0.5, -1.5):
+        got = _propagate_rows(a, b, lam, 0.6, -0.8)
+        want = list_rows(a, b, lam, 0.6, -0.8)
+        assert got.shape == want.shape == (n_rows, 3)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("a, b, lam, u1, fault", [
+    # step 1 lands on y = 0 exactly, then a(1)/a(2) rounds to 0
+    ([1.0, 1e-300, 1e300, 1.0], [0.0, -1.0, 0.0, 0.0], 0.0, 1.0,
+     "underflows"),
+    # (lam - b(2)) y / a(2) passes binary64
+    ([1.0, 1.0, 1e-10, 1.0], [0.0] * 4, 1e300, 0.0, "overflows"),
+])
+def test_kernel_faults_after_the_first_step_name_their_n(a, b, lam, u1,
+                                                         fault):
+    a, b = np.array(a), np.array(b)
+    with pytest.raises(DomainError) as want:
+        list_rows(a, b, lam, 1.0, u1)
+    with pytest.raises(DomainError) as got:
+        _propagate_rows(a, b, lam, 1.0, u1)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("propagation %s at n = 2:" % fault)
+
+
 def test_kernel_peak_memory_is_its_result():
     seq = instantiate("pow:alpha=0.5")
     a, b = seq.a_array(100001), seq.b_array(100001)

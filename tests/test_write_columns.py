@@ -7,6 +7,10 @@ patterns, exact ties (CPython rounds them half-even, and the formatter
 hands near-ties to ``%``), powers of ten and their neighbours, where the
 decimal exponent estimate is corrected, subnormals, signed zeros,
 infinities and NaNs, 64-bit integer extremes, and block boundaries.
+Signed zeros are formatted on the array path, alone in their blocks and
+beside NaN, inf and subnormals, which are written after it; an integer
+block takes only the digit chunks its longest number needs, so blocks
+with 4, 19 and 1 digits at most sit in one column.
 """
 
 import tempfile
@@ -91,6 +95,34 @@ def test_integer_columns(tmp_path):
                                           dtype=np.int64)])
     i8 = np.resize(np.arange(-128, 128, dtype=np.int8), len(i64))
     assert_same_bytes(tmp_path, i8, i64, i64.astype(float), i64[::-1])
+
+
+def test_integer_blocks_of_different_digit_counts(tmp_path):
+    # each block formats only as many 4-digit chunks as its longest number
+    big = np.iinfo(np.int64)
+    edge = np.resize(np.array([big.min, big.max, 0, -1], np.int64),
+                     _cells.BLOCK_ROWS)
+    small = np.resize(np.arange(-9, 10, dtype=np.int64), _cells.BLOCK_ROWS)
+    i64 = np.concatenate([np.arange(_cells.BLOCK_ROWS), edge, small])
+    assert_same_bytes(tmp_path, i64)
+    assert_same_bytes(tmp_path, i64[::-1], i64.astype(float))
+
+
+def test_signed_zeros_in_blocks_without_other_odd_values(tmp_path):
+    # zeros take the array path; no block below holds a NaN, inf or subnormal
+    n = 2 * _cells.BLOCK_ROWS + 5
+    zeros = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)
+    mixed = np.random.default_rng(3).standard_normal(n)
+    mixed[::7] = 0.0
+    mixed[1::7] = -0.0
+    assert_same_bytes(tmp_path, zeros, mixed, np.arange(n))
+
+
+def test_signed_zeros_beside_nan_inf_and_subnormals(tmp_path):
+    # one block with both: the other odd values must leave zeros untouched
+    x = np.array([0.0, np.nan, -0.0, np.inf, 1.5, -np.inf, 5e-324, -0.0,
+                  -5e-324, 0.0, -np.nan, 2.0 ** -25])
+    assert_same_bytes(tmp_path, x, -x, np.zeros(len(x)))
 
 
 def test_unsigned_64_bit_column_is_refused(tmp_path):
