@@ -196,7 +196,7 @@ def float_cells(v, out):
     out[..., 2] = ((w2 & k2) | (moved2 << _B8) | _DOT2[q]
                    | (moved1 >> _B56)) & _STRIP[1][keep]
     out[..., 3] = ((moved2 >> _B56) & _STRIP[2][keep]) | _EXPO[ix]
-    odd = (~normal ^ zero) | tie  # zeros are not normal, but done
+    odd = (~normal ^ zero) | tie  # zeros are not normal, but written above
     if odd.any():
         nan = np.isnan(v)
         out[odd] = _ZERO

@@ -149,8 +149,9 @@ def _propagate_rows(a, b, lam, u0, u1):
     xs[0], ys[0], logs[0] = x, y, logscale
     n = 0
     try:
-        # zip reads a(n-1), a(n) and b(n) for n = 1, 2, ... in one pass
-        for a_prev, a_n, b_n in zip(a, a[1:], b[1:]):
+        # zip reads a(n-1), a(n) and b(n) for n = 1, 2, ... in one pass;
+        # strict, so a b of another length than a is an error
+        for a_prev, a_n, b_n in zip(a[:-1], a[1:], b[1:], strict=True):
             n += 1
             # a(n) u(n+1) = (lam - b(n)) u(n) - a(n-1) u(n-1), scale-free
             y_new = ((lam - b_n) * y - a_prev * x) / a_n

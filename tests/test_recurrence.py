@@ -206,6 +206,13 @@ def test_kernel_short_inputs_match_list_reference(n_rows):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_kernel_refuses_coefficients_of_different_lengths():
+    with pytest.raises(ValueError):
+        _propagate_rows(np.ones(4), np.zeros(3), 0.5, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        _propagate_rows(np.ones(3), np.zeros(4), 0.5, 1.0, 0.0)
+
+
 @pytest.mark.parametrize("a, b, lam, u1, fault", [
     # step 1 lands on y = 0 exactly, then a(1)/a(2) rounds to 0
     ([1.0, 1e-300, 1e300, 1.0], [0.0, -1.0, 0.0, 0.0], 0.0, 1.0,
