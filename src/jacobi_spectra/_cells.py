@@ -217,8 +217,8 @@ def int_cells(v, out):
     mag = np.where(neg, ~mag + _U(1), mag)
     # 20 digits of mag in 4-digit chunks, and how many are not leading zeros
     n = np.searchsorted(_POW10, mag, "right") + 1
-    # only the chunks the block's longest number has; the others are zero
-    # words, which the leading-zero masks drop anyway
+    # the high chunks no number in v has stay zero words, which the
+    # leading-zero masks drop anyway
     chunks = [_ZERO] * 5
     for j in range((int(n.max()) + 3) // 4):
         rest = mag // _U(10000)
