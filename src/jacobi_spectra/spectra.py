@@ -17,15 +17,17 @@ correctness).
 One sweep computes the counts for a whole vector of shifts (every split
 point of a multisection step, every Newton point, or every bin edge).  It
 runs down the rows of the recursion in blocks: each row costs two numpy
-calls, and the test for pivots below ``pivmin`` and the sign count run
-once per block.  A block that holds such a pivot is redone from its first
-one with the row-by-row sweep that substitutes ``-pivmin``, so the counts
-are bit-identical to that sweep's.  For Newton the same pass also carries
-the log-derivative sum_i d'_i / d_i, two more numpy calls per row; count
-callers do not pay for it.  The cost is numpy call overhead per row and
-sweep, not arithmetic: a sweep costs about the same at one shift as at a
-few hundred, so multisection fills the first sweeps with as many shifts
-as the order and isolates in a handful of sweeps; the shift vectors then
+calls on arrays, and the test for pivots below ``pivmin`` and the sign
+count run once per block.  No block operation costs more per shift than
+its arithmetic, so short blocks of many shifts stay cheap.  A block that
+holds such a pivot is redone from its first one with the row-by-row
+sweep that substitutes ``-pivmin``, so the counts are bit-identical to
+that sweep's.  For Newton the same pass also carries the log-derivative
+sum_i d'_i / d_i, three more numpy calls per row; count callers do not
+pay for it.  The cost is numpy call overhead per row and sweep, not
+arithmetic: a sweep costs about the same at one shift as at a few
+hundred, so multisection fills the first sweeps with as many shifts as
+the order and isolates in a handful of sweeps; the shift vectors then
 shrink as intervals isolate and nodes converge.
 
 Gauss weights come from one three-term recurrence over all nodes at once,
@@ -62,7 +64,8 @@ __all__ = [
 _SAFE_MIN = np.finfo(float).tiny / np.finfo(float).eps
 # at most this many Sturm sweeps per eigenvalues call, both phases together
 _MAX_SWEEPS = 110
-# floats in one block of the Sturm sweep's (rows, shifts) buffer: 64 KB
+# floats in one block of each of the Sturm sweep's (rows, shifts) buffers:
+# 64 KB for the pivots and 64 KB for the q_i, and two more for Newton
 _BLOCK_ELEMENTS = 8192
 # Gauss weights whose sum is off 1 by more than this are a DomainError
 _WEIGHT_SUM_TOL = 1e-6
@@ -137,27 +140,35 @@ def _sturm_counts(t, shifts, log_derivative=False):
     pivots ``d_i = (b_i - s) - q_i``, ``q_i = a_{i-1}**2 / d_{i-1}``, are
     computed in blocks of rows of a ``(rows, shifts)`` buffer of at
     most ``_BLOCK_ELEMENTS`` floats.  One ``np.subtract.outer`` fills a
-    block with ``b_i - s``; each row then costs two numpy calls, a divide
-    and a subtract in place, with ``out`` passed by position: parsing it
-    as a keyword costs more per call.  The pivmin test and the count of
-    negative pivots run once per block.  Every entry goes through the same
-    IEEE operations as the row-by-row sweep, so a block without a pivot below
+    block with ``b_i - s`` and one broadcast copy fills a second block of
+    the same shape with ``a_{i-1}**2``; each row then costs two numpy
+    calls on arrays, ``divide(q, prev, q)`` and ``subtract(d, q, d)`` in
+    place, with ``out`` passed by position: parsing it as a keyword costs
+    more per call, and so does a Python float operand, which numpy
+    converts on every call.  The pivmin test and the count of negative
+    pivots run once per block.  Every entry goes through the same IEEE
+    operations as the row-by-row sweep, so a block without a pivot below
     ``pivmin`` is bit-identical to it.  A block with one keeps its rows
     before the first such row and finishes from that row with the
-    row-by-row sweep, which substitutes ``-pivmin``; so each row is
-    computed at most twice.  The fast pass may divide by an exact zero
-    pivot or overflow in the rows it will redo, hence the ``np.errstate``.
+    row-by-row sweep, which substitutes ``-pivmin`` and reads
+    ``a_{i-1}**2`` from ``off2`` again, as the q rows by then hold
+    quotients; so each row is computed at most twice.  The fast pass may
+    divide by an exact zero pivot or overflow in the rows it will redo,
+    hence the ``np.errstate``.
 
     With ``log_derivative=True`` it returns ``(counts, sum_i d'_i / d_i)``,
     the derivative of log|det(T - s)| = sum_i log|d_i|, which gives the
     Newton step -1 / sum for det(T - s).  From d'_0 = -1 and
     ``d'_i = -1 + q_i d'_{i-1} / d_{i-1}``, the ratios ``r_i = d'_i / d_i``
-    obey ``r_i = (q_i / d_i) r_{i-1} - 1 / d_i``.  The quotients q_i of
-    the pivot rows are kept, so once a block's pivots are final (restarted
-    rows included) ``q_i / d_i`` and ``1 / d_i`` are two block operations,
-    each r_i costs two numpy calls, and one ``np.add.accumulate`` adds the
-    block's r_i to the running sum in row order.  Count-only callers keep
-    one scratch row for every q_i and do none of this.
+    obey ``r_i = (q_i / d_i) r_{i-1} - 1 / d_i``.  Once a block's pivots
+    are final (restarted rows included), ``q_i / d_i`` and ``1 / d_i`` are
+    two block operations, and each r_i costs three numpy calls: a
+    multiply, a subtract and the add of r_i to the running sum, in row
+    order as the row-by-row sweep adds them.  No block-wide operation
+    takes that sum: ``np.add.accumulate`` along the rows runs one inner
+    loop per shift, which costs more than the row adds once blocks are
+    short and the shifts many, and ``np.add.reduce`` sums one shift
+    pairwise, which rounds differently.
     """
     shifts = np.asarray(shifts, dtype=float)
     if t.order == 1:
@@ -168,52 +179,47 @@ def _sturm_counts(t, shifts, log_derivative=False):
     rows_max = min(block, N - 1)
     # row 0 carries the last pivot row of the previous block
     buf = np.empty((rows_max + 1, m))
-    rows = list(buf)
-    divide, subtract, multiply = np.divide, np.subtract, np.multiply
+    qbuf = np.empty((rows_max, m))
+    rows, qs = list(buf), list(qbuf)
+    divide, subtract, multiply, add = (np.divide, np.subtract, np.multiply,
+                                       np.add)
     d = rows[0]
     np.subtract(float(diag[0]), shifts, out=d)
     d[np.abs(d) < pivmin] = -pivmin
     count = (d < 0.0).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if log_derivative:
-            qbuf = np.empty((rows_max, m))
-            # row 0 of rbuf carries r of the previous row; vbuf rows
-            # 1..k hold 1 / d_i, then the running sums of the block
-            rbuf, vbuf = np.empty((2, rows_max + 1, m))
-            qs, rs = list(qbuf), list(rbuf)
+            # row 0 of rbuf carries r of the previous row
+            rbuf, vbuf = np.empty((rows_max + 1, m)), np.empty((rows_max, m))
+            rs, vs = list(rbuf), list(vbuf)
             np.divide(-1.0, d, out=rs[0])
             total = rs[0].copy()
-        else:
-            qs = [np.empty(m)] * rows_max
         for lo in range(1, N, block):
             hi = min(lo + block, N)
             k = hi - lo
-            b, pivots = diag[lo:hi], buf[1:k + 1]
-            e2s = off2[lo - 1:hi - 1].tolist()
+            b, pivots, q = diag[lo:hi], buf[1:k + 1], qbuf[:k]
             np.subtract.outer(b, shifts, out=pivots)
-            for prev, d, q, e2 in zip(rows, rows[1:k + 1], qs, e2s):
-                divide(e2, prev, q)
-                subtract(d, q, d)
+            q[...] = off2[lo - 1:hi - 1, None]
+            for prev, d, qi in zip(rows, rows[1:k + 1], qs):
+                divide(qi, prev, qi)
+                subtract(d, qi, d)
             hits = np.abs(pivots) < pivmin
             if hits.any():
                 first = int(hits.any(axis=1).argmax())
                 for i in range(first, k):
                     d = rows[i + 1]
                     np.subtract(float(b[i]), shifts, out=d)
-                    np.divide(e2s[i], rows[i], out=qs[i])
+                    np.divide(off2[lo - 1 + i], rows[i], out=qs[i])
                     np.subtract(d, qs[i], out=d)
                     d[np.abs(d) < pivmin] = -pivmin
             count += (pivots < 0.0).sum(axis=0)
             if log_derivative:
-                u, v = qbuf[:k], vbuf[1:k + 1]
-                np.divide(u, pivots, out=u)
-                np.divide(1.0, pivots, out=v)
-                for prev, r, ui, vi in zip(rs, rs[1:k + 1], u, v):
+                np.divide(q, pivots, out=q)
+                np.divide(1.0, pivots, out=vbuf[:k])
+                for prev, r, ui, vi in zip(rs, rs[1:k + 1], qs, vs):
                     multiply(ui, prev, r)
                     subtract(r, vi, r)
-                rbuf[0] = total
-                np.add.accumulate(rbuf[:k + 1], axis=0, out=vbuf[:k + 1])
-                total[:] = vbuf[k]
+                    add(total, r, total)
                 rbuf[0] = rbuf[k]
             buf[0] = buf[k]
     return (count, total) if log_derivative else count

@@ -83,7 +83,14 @@ def _square_restriction(seq, s, kind):
 
     def a(lo, hi):
         zero_b(2 * lo + s, 2 * hi + s)
-        parent = seq.a_array(2 * hi + s, start=2 * lo + s)
+        # one read that also holds b's pairs, so the parent's a is built
+        # once; a fault there may be one only b meets, and a's own range
+        # then raises a's first fault
+        first = max(2 * lo + s - 1, 0)
+        try:
+            parent = seq.a_array(2 * hi + s, start=first)[2 * lo + s - first:]
+        except DomainError:
+            parent = seq.a_array(2 * hi + s, start=2 * lo + s)
         return parent[0::2] * parent[1::2]
 
     def b(lo, hi):

@@ -720,11 +720,13 @@ def counting_pair():
 
 
 def test_a_checked_range_is_built_once_per_sequence():
-    seq, built = counting_pair()
-    even = square_even(seq)
-    even.a_array(1000)
-    even.b_array(1000)                  # reads a(0..1998) of the parent
-    assert built == [2000]
+    # b of even reads a(0..1998) of the parent, b of odd a(0..1999)
+    for new_t, length in ((square_even, 2000), (square_odd, 2001)):
+        seq, built = counting_pair()
+        restricted = new_t(seq)
+        restricted.a_array(1000)
+        restricted.b_array(1000)
+        assert built == [length]
     seq, built = counting_pair()
     check_theorem_A(seq, WeightSequence.from_a(seq), 100)
     assert built == [102]               # a(0..N+1), alpha = a a view of it

@@ -199,7 +199,7 @@ def test_sturm_counts_match_index_loop():
         _assert_counts_match(t, shifts)
 
 
-@pytest.mark.parametrize("n_shifts", [1, 100, _BLOCK_ELEMENTS + 8])
+@pytest.mark.parametrize("n_shifts", [1, 100, 500, _BLOCK_ELEMENTS + 8])
 def test_sturm_counts_match_index_loop_across_blocks(n_shifts):
     # the sweep runs rows 1..N-1 in blocks of this many rows
     block = max(1, _BLOCK_ELEMENTS // n_shifts)
@@ -235,6 +235,7 @@ def test_sturm_counts_match_index_loop_at_exact_eigenvalues():
 
 @pytest.mark.parametrize("text, order", [
     ("chihara", 500), ("paired:eps=0.01,inner=pow,alpha=1", 300),
+    ("chihara", 2100),
 ])
 def test_eigenvalues_bitwise_match_index_loop(text, order, monkeypatch):
     t = truncate(instantiate(text), order)
