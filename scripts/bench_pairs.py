@@ -38,7 +38,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("gauss-spectrum", "eigvec-trace", "hypothesis-checks")
 
 
 def writable_dir(text):
@@ -131,10 +130,12 @@ def compare(runs, metrics):
 
 
 def main(argv=None):
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="git rev of the base side")
     p.add_argument("--change", help="git rev of the change (default: this tree)")
-    p.add_argument("--workload", action="append", choices=WORKLOADS,
+    p.add_argument("--workload", action="append", choices=workloads,
                    help="repeatable; default: every workload")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, default=10)
@@ -143,7 +144,6 @@ def main(argv=None):
     p.add_argument("--out-dir", type=writable_dir, default=str(ROOT),
                    help="directory of the BENCH file (default: repo root)")
     args = p.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     base_rev = git("rev-parse", args.base)
     change_rev = git("rev-parse", args.change) if args.change else None
     with tempfile.TemporaryDirectory() as tmp:
@@ -157,7 +157,7 @@ def main(argv=None):
                   "seed": args.seed, "pairs": args.pairs,
                   "seconds": args.seconds, "scale": args.scale,
                   "trace": 0, "workloads": {}}
-        for workload in args.workload or WORKLOADS:
+        for workload in args.workload or workloads:
             runs = []
             for i in range(args.pairs):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -166,7 +166,8 @@ def main(argv=None):
                 print("%s pair %d/%d done" % (workload, i + 1, args.pairs),
                       file=sys.stderr)
             record.setdefault("fingerprint", runs[0]["base"][1]["fingerprint"])
-            record["workloads"][workload] = compare(runs, metrics)
+            record["workloads"][workload] = compare(
+                runs, benchmark["end_to_end"])
     day = datetime.date.today().strftime("%Y%m%d")
     path = args.out_dir / ("BENCH_%s_%s.json" % (day, base_rev[:7]))
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -43,7 +43,7 @@ import numpy as np
 from . import __version__
 from .errors import JacobiError, ParseError
 from . import diagnostics, recurrence, spectra, transforms
-from .sequences import WeightSequence, instantiate, parse_family
+from .sequences import WeightSequence, _number, instantiate, parse_family
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
@@ -58,7 +58,7 @@ def _resolve_alpha(choice, seq):
     name, sep, arg = choice.partition(":")
     if name == "iterlog":
         try:
-            K = int(arg) if sep else 1
+            K = _number(int, arg) if sep else 1
         except ValueError:
             raise ParseError("iterlog depth must be an integer, got %r"
                              % arg) from None
@@ -71,7 +71,7 @@ def _resolve_alpha(choice, seq):
 def _floats(text, option, count=None):
     """The comma-separated numbers of an option value, ``count`` if given."""
     try:
-        values = [float(v) for v in text.split(",")]
+        values = [_number(float, v) for v in text.split(",")]
         if count in (None, len(values)):
             return values
     except ValueError:
@@ -257,6 +257,18 @@ def cmd_transform(args, path):
 # --- argument parsing ------------------------------------------------------
 
 
+def _int(text):
+    return _number(int, text)
+
+
+def _float(text):
+    return _number(float, text)
+
+
+# argparse names a rejected value by its type's name: "invalid int value"
+_int.__name__, _float.__name__ = "int", "float"
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="jacobi-spectra",
@@ -269,7 +281,7 @@ def build_parser():
     p.add_argument("--seq", required=True, help="sequence family spec")
     p.add_argument("--lambda", dest="lambdas", action="append", metavar="LAM",
                    help="spectral parameter(s), repeatable or comma-separated")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--alpha", default="a",
                    help="weight choice: a | one | iterlog:K | table:FILE")
     p.add_argument("--init", default="p", help="'p' or 'u0,u1'")
@@ -283,20 +295,20 @@ def build_parser():
     p.add_argument("--rates", "--bd", dest="rates",
                    help="rates CSV file or mini-language, "
                         "e.g. lam=linear,mu=linear")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--alpha", default="a")
-    p.add_argument("--k", dest="K", type=int, default=1,
+    p.add_argument("--k", dest="K", type=_int, default=1,
                    help="iterated-log depth for theorem 43")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("spectrum", help="truncation eigenvalues / densities")
     p.add_argument("--seq", required=True)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_int, required=True)
     p.add_argument("--window", help="x_lo,x_hi for a density report")
-    p.add_argument("--bin", type=float)
+    p.add_argument("--bin", type=_float)
     p.add_argument("--weights", action="store_true")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_float)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_spectrum)
 
@@ -306,7 +318,7 @@ def build_parser():
     p.add_argument("--rates", "--bd", dest="rates",
                    help="rates CSV file or mini-language, "
                         "e.g. lam=linear,mu=linear")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_transform)
 

@@ -163,7 +163,9 @@ class PiWeights:
 
     The exact ratio recursion pi(n+1)/pi(n) = lambda(n)/mu(n+1) holds in
     log arithmetic, which survives geometric growth or decay.  The logs
-    are one running sum up to the largest index asked for.
+    are one running sum up to the largest index asked for, accumulated in
+    place in the array of rate logs, where the partial sums that end on a
+    mu are log pi(1), log pi(2), ...
     """
 
     def __init__(self, rates):
@@ -174,14 +176,13 @@ class PiWeights:
         first, last = int(np.min(n, initial=0)), int(np.max(n, initial=0))
         if first < 0:
             raise DomainError("sequence index must be >= 0, got %d" % first)
-        # (lp + log lambda(k)) - log mu(k+1), summed in that order
-        entries = _checked(_rate_sequence(self._rates), 1, 2 * last + 1)
-        steps = np.zeros(len(entries) + 1)
-        steps[1:] = _elementwise(math.log, entries)
-        np.negative(steps[2::2], out=steps[2::2])
+        # (lp + log lambda(k)) - log mu(k+1), summed in that order in place
+        logs = _elementwise(math.log, _checked(
+            _rate_sequence(self._rates), 1, 2 * last + 1))
+        np.negative(logs[1::2], out=logs[1::2])
         with np.errstate(invalid="ignore"):     # inf - inf, as floats
-            log_pi = np.cumsum(steps)[::2]
-        return log_pi[n]
+            np.cumsum(logs, out=logs)
+        return np.concatenate(([0.0], logs[1::2]))[n]
 
     def pi(self, n):
         return _exp_signed(1.0, self.log_pi(n))

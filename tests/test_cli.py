@@ -429,6 +429,15 @@ def table_paths(tmp_path):
     *[(["transform", "flip", "--seq", seq, "--n", "3"], 2)
       for seq in ("pow:alpha=\u0661", "pow:alpha=\uff11.5",
                   "iterlog:k=\u0662,m=16")],
+    # and so is a number in an option value that the commands split
+    *[(["analyze", "--seq", "const", "--n", "10", option, value], 2)
+      for option, value in (("--lambda", "1_5"), ("--lambda", "\u0661"),
+                            ("--lambda", "0.5,1_5"), ("--init", "1_0,1"),
+                            ("--init", "1,\u0661"))],
+    (["spectrum", "--seq", "const", "--size", "5", "--window=0,1_0",
+      "--bin", "0.5"], 2),
+    *[(["check", "--theorem", "A", "--seq", "const", "--alpha", alpha,
+        "--n", "200"], 2) for alpha in ("iterlog:\u0661", "iterlog:1_0")],
 ])
 def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
     argv = [a.format(**table_paths(tmp_path)) for a in argv]
@@ -795,6 +804,38 @@ def test_format_option_is_rejected(command, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--format" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["analyze", "--seq", "const", "--n", "1_0"], "int"),
+    (["spectrum", "--seq", "const", "--size", "\u0665"], "int"),
+    (["spectrum", "--seq", "const", "--size", "5", "--window=0,1",
+      "--bin", "1_0"], "float"),
+    (["spectrum", "--seq", "const", "--size", "5", "--tol", "\u0661"], "float"),
+    (["check", "--theorem", "43", "--seq", "iterlog:k=2,m=16", "--k",
+      "\u0662", "--n", "1000"], "int"),
+    (["check", "--theorem", "43", "--seq", "iterlog:k=2,m=16",
+      "--n", "1_000"], "int"),
+    (["transform", "flip", "--seq", "const", "--n", "\uff15"], "int"),
+])
+def test_typed_option_numbers_follow_the_table_rule(argv, kind, tmp_path,
+                                                    capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid %s value" % kind in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_option_numbers_keep_spaces_signs_and_non_finite_values(tmp_path):
+    out = tmp_path / "out"
+    assert run(["analyze", "--seq", "const", "--n", " +10 ", "--lambda",
+                " +0.5, -1", "--init", " inf, 0", "--out", str(out)]) == 0
+    config = json.loads((out / "config.json").read_text())
+    assert config["n"] == 10 and config["lambdas"] == [0.5, -1.0]
+    assert run(["spectrum", "--seq", "const", "--size", "+5", "--tol",
+                " 1e-9 ", "--out", str(tmp_path / "spectrum")]) == 0
 
 
 def test_resolve_alpha_choices():

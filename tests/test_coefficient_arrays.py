@@ -36,6 +36,7 @@ from jacobi_spectra import (
     truncate,
 )
 from jacobi_spectra.transforms import BirthDeathRates, PiWeights
+from test_recurrence import traced_peak
 
 # an inf or NaN entry is a fault to report, never a numpy warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -471,6 +472,12 @@ def test_pi_weights_extend_one_running_sum():
     want = np.fromiter(map(ref_pi.log_pi, range(30001)), float, 30001)
     same_bits(pi.log_pi(np.arange(30001)), want, 30001)
     assert len(pi.log_pi(np.arange(0))) == 0
+
+
+def test_pi_weights_peak_memory():
+    pi, n = PiWeights(parse_rates("lam=linear,mu=linear")), np.arange(100000)
+    pi.log_pi(n)                        # builds the rates' kept ranges
+    assert traced_peak(pi.log_pi, n) <= 40 * len(n)
 
 
 # --- weights and iterated logs ---------------------------------------------
