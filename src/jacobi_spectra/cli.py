@@ -154,6 +154,8 @@ def _emit_json(path_or_none, payload):
 
 
 def cmd_analyze(args, path):
+    if args.n < 2:
+        raise ParseError("--n must be >= 2, got %d" % args.n)
     seq = instantiate(parse_family(args.seq))
     args.lambdas = [lam for text in args.lambdas or []
                     for lam in _floats(text, "--lambda")] or [0.0]
@@ -174,6 +176,8 @@ def cmd_analyze(args, path):
 
 
 def cmd_check(args, path):
+    if args.n < 100:
+        raise ParseError("--n must be >= 100, got %d" % args.n)
     theorem = args.theorem
     _check_source(args, theorem == "51", "check --theorem %s" % theorem)
     # only A reads --alpha and only 43 --k; their parser defaults pass
@@ -220,12 +224,16 @@ def cmd_spectrum(args, path):
                          else "--bin requires --window")
     if density and (args.weights or args.tol is not None):
         raise ParseError("--weights and --tol apply only without --window")
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        raise ParseError("--tol must be positive and finite, got %r" % args.tol)
     seq = instantiate(parse_family(args.seq))
     if density:
         window = tuple(_floats(args.window, "--window", 2))
         if not all(map(math.isfinite, window + (args.bin,))):
             raise ParseError("--window and --bin must be finite, got %r "
                              "and %r" % (args.window, args.bin))
+        if args.bin <= 0.0:
+            raise ParseError("--bin must be positive, got %r" % args.bin)
         rows = spectra.density_report(seq, args.size, window, args.bin)
         spectra.write_density_csv(path("density.csv"), rows)
     else:

@@ -72,7 +72,11 @@ def _square_restriction(seq, s, kind):
     """Restriction of the squared operator to the indices of parity s.
 
     a(n) = a(2n+s) a(2n+s+1) and b(n) = a(2n+s-1)**2 + a(2n+s)**2, with
-    a(-1) = 0; b == 0 is checked wherever the entries use it.
+    a(-1) = 0; b == 0 is checked wherever the entries use it.  Each builder
+    reads only the parent entries it uses, in index order, so it meets the
+    parent's first fault where the per-index definition does: a reads
+    a(2lo+s..2hi+s-1), and b reads a(2lo+s-1) on its own and then
+    a(2lo+s..2hi+s-2), a view of the range a read.
     """
     def zero_b(lo, hi, step=1):
         b = seq.b_array(hi, start=lo)[::step]
@@ -83,22 +87,15 @@ def _square_restriction(seq, s, kind):
 
     def a(lo, hi):
         zero_b(2 * lo + s, 2 * hi + s)
-        # one read that also holds b's pairs, so the parent's a is built
-        # once; a fault there may be one only b meets, and a's own range
-        # then raises a's first fault
-        first = max(2 * lo + s - 1, 0)
-        try:
-            parent = seq.a_array(2 * hi + s, start=first)[2 * lo + s - first:]
-        except DomainError:
-            parent = seq.a_array(2 * hi + s, start=2 * lo + s)
+        parent = seq.a_array(2 * hi + s, start=2 * lo + s)
         return parent[0::2] * parent[1::2]
 
     def b(lo, hi):
         zero_b(2 * lo + s, 2 * hi + s - 1, 2)
         first = 2 * lo + s - 1              # pairs a(2n+s-1), a(2n+s)
-        parent = seq.a_array(2 * hi + s - 1, start=max(first, 0))
-        # a zero in front for a(-1) = 0
-        squares = _power(np.concatenate((np.zeros(-min(first, 0)), parent)), 2.0)
+        head = seq.a(first) if first >= 0 else 0.0     # a(-1) = 0
+        squares = _power(np.concatenate(
+            ([head], seq.a_array(2 * hi + s - 1, start=first + 1))), 2.0)
         return squares[1::2] + squares[0::2]
 
     return SequencePair.from_builders(a, b, name="%s(%s)" % (kind, seq.name))
@@ -205,7 +202,8 @@ def bd_to_jacobi(rates):
 
     def b(lo, hi):
         lam = rates.lam_array(hi, start=lo)
-        return -(lam + rates.mu_array(hi, start=lo))
+        mu = np.concatenate(([rates.mu(lo)], rates.mu_array(hi, start=lo + 1)))
+        return -(lam + mu)
 
     pair = SequencePair.from_builders(a, b, name="bd(%s)" % rates.name)
     return pair, PiWeights(rates)

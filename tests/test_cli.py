@@ -338,7 +338,7 @@ def table_paths(tmp_path):
       "--n", "200"], 2),
     (["transform", "bd", "--rates", "{rates_bad_number}", "--n", "5"], 2),
     (["check", "--theorem", "51", "--rates", "{directory}", "--n", "200"], 2),
-    (["spectrum", "--seq", "const", "--size", "10", "--tol", "inf"], 3),
+    (["spectrum", "--seq", "const", "--size", "10", "--tol", "inf"], 2),
     (["spectrum", "--seq", "chihara", "--size", "5", "--window=0,1e12",
       "--bin", "1"], 3),
     (["spectrum", "--seq", "table:{huge}", "--size", "3"], 3),
@@ -438,6 +438,16 @@ def table_paths(tmp_path):
       "--bin", "0.5"], 2),
     *[(["check", "--theorem", "A", "--seq", "const", "--alpha", alpha,
         "--n", "200"], 2) for alpha in ("iterlog:\u0661", "iterlog:1_0")],
+    # out-of-range values of the options themselves are usage errors
+    *[(["spectrum", "--seq", "const", "--size", "10", "--tol", tol], 2)
+      for tol in ("0", "-1", "nan")],
+    *[(["spectrum", "--seq", "const", "--size", "10", "--window=0,1",
+        "--bin", width], 2) for width in ("0", "-1")],
+    *[(["analyze", "--seq", "const", "--n", n], 2) for n in ("1", "0", "-3")],
+    *[(["check", "--theorem", theorem, "--seq", "const", "--n", "99"], 2)
+      for theorem in ("A", "B", "C", "42", "43")],
+    (["check", "--theorem", "51", "--bd", "lam=linear,mu=linear", "--n", "0"],
+     2),
 ])
 def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, capsys):
     argv = [a.format(**table_paths(tmp_path)) for a in argv]
@@ -667,7 +677,7 @@ def test_analyze_overflowing_step_exits_3(tmp_path, capsys):
                  id="argv0"),
     pytest.param(["transform", "bd", "--rates", "{rates}", "--n", "5"], 3,
                  id="argv1"),
-    pytest.param(["analyze", "--seq", "const", "--n", "1"], 3, id="argv2"),
+    pytest.param(["analyze", "--seq", "const", "--n", "1"], 2, id="argv2"),
     pytest.param(["spectrum", "--seq", "pow:alpha=150", "--size", "50"], 3,
                  id="argv3"),
     pytest.param(["spectrum", "--seq", "pow:alpha=150", "--size", "50",

@@ -428,6 +428,18 @@ def test_bd_arrays_match_per_index(spec, lam_fn, mu_fn, n):
     same_bits(root.a_array(n), ref_root(ref).a_array(n), n)
 
 
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 7])
+@pytest.mark.parametrize("spec, lam_fn, mu_fn", RATES, ids=[r[0] for r in RATES])
+def test_bd_ranges_match_per_index(spec, lam_fn, mu_fn, start):
+    rates, ref = rates_and_ref(spec, lam_fn, mu_fn)
+    new, old = bd_to_jacobi(rates)[0], ref_bd_to_jacobi(ref)
+    for stop in range(start, start + 6):
+        want = np.array([old.a(n) for n in range(start, stop)], dtype=float)
+        same_bits(new.a_array(stop, start=start), want, stop - start)
+        want = np.array([old.b(n) for n in range(start, stop)], dtype=float)
+        same_bits(new.b_array(stop, start=start), want, stop - start)
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_bd_odd_route_and_tables_match_per_index(n):
     lam, mu = [k + 1.0 for k in range(n + 2)], [k + 0.5 for k in range(n + 2)]
@@ -727,16 +739,38 @@ def counting_pair():
 
 
 def test_a_checked_range_is_built_once_per_sequence():
-    # b of even reads a(0..1998) of the parent, b of odd a(0..1999)
-    for new_t, length in ((square_even, 2000), (square_odd, 2001)):
+    # a of even reads a(0..1999) of the parent and b a view of a(0..1998);
+    # a of odd reads a(1..2000), and b a(0) on its own and a view of the rest
+    for new_t, lengths in ((square_even, [2000]), (square_odd, [2000, 1])):
         seq, built = counting_pair()
         restricted = new_t(seq)
         restricted.a_array(1000)
         restricted.b_array(1000)
-        assert built == [length]
+        assert built == lengths
     seq, built = counting_pair()
     check_theorem_A(seq, WeightSequence.from_a(seq), 100)
     assert built == [102]               # a(0..N+1), alpha = a a view of it
+
+
+def test_rates_are_built_once_for_bd():
+    built = {"lambda": [], "mu": []}
+
+    def counting(label, build):
+        def counted(lo, hi):
+            built[label].append((lo, hi))
+            return build(lo, hi)
+        return counted
+
+    n = 1000
+    rates = BirthDeathRates.from_builders(
+        counting("lambda", lambda lo, hi: np.arange(lo + 1, hi + 1, dtype=float)),
+        counting("mu", lambda lo, hi: np.arange(lo, hi, dtype=float)))
+    pair, pi = bd_to_jacobi(rates)
+    pair.a_array(n)
+    pair.b_array(n)
+    pi.log_pi(np.arange(n))
+    # a reads mu(1..n); b reads mu(0) on its own and a view of the rest
+    assert built == {"lambda": [(0, n)], "mu": [(1, n + 1), (0, 1)]}
 
 
 def test_single_index_reads_build_each_entry_once():
@@ -764,18 +798,29 @@ def test_every_array_path_is_read_only():
             values[0] = 1.0
 
 
-@pytest.mark.parametrize("new_t", [square_even, square_odd],
-                         ids=["even", "odd"])
-def test_a_warmed_sequence_ends_as_a_fresh_one(new_t, tmp_path):
+def fresh_reads(kind, tmp_path):
+    """The array reads of a new object of ``kind`` over a 5-row table."""
+    if kind == "bd":
+        pair, pi = bd_to_jacobi(BirthDeathRates.from_table(
+            [k + 1.0 for k in range(5)], [k + 0.5 for k in range(5)]))
+        return [pair.a_array, pair.b_array, lambda n: pi.log_pi(np.arange(n))]
     spec = write_table(tmp_path, [(k, 1.0 + k, 0) for k in range(5)])
-    warmed = new_t(instantiate(spec))
-    warmed.a_array(2)
-    warmed.b_array(2)
-    for n in (3, 4):                    # b of even ends at 3, the rest at 2
-        same_outcome(lambda: warmed.a_array(n),
-                     lambda: new_t(instantiate(spec)).a_array(n), n)
-        same_outcome(lambda: warmed.b_array(n),
-                     lambda: new_t(instantiate(spec)).b_array(n), n)
+    new_t = {"even": square_even, "odd": square_odd}[kind]
+    derived = new_t(instantiate(spec))
+    return [derived.a_array, derived.b_array]
+
+
+@pytest.mark.parametrize("kind", ["even", "odd", "bd"])
+def test_a_warmed_sequence_ends_as_a_fresh_one(kind, tmp_path):
+    warmed = fresh_reads(kind, tmp_path)
+    for read in warmed:
+        read(2)
+    # b of even ends at 3, a and b of odd and a of even at 2; a of bd at 4,
+    # its b and log pi at 5
+    for n in (3, 4, 5, 6):
+        for i, read in enumerate(warmed):
+            same_outcome(lambda: read(n),
+                         lambda: fresh_reads(kind, tmp_path)[i](n), n)
 
 
 def test_a_warmed_sequence_faults_as_a_fresh_one():
