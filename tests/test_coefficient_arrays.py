@@ -750,9 +750,6 @@ def test_a_checked_range_is_built_once_per_sequence():
     seq, built = counting_pair()
     check_theorem_A(seq, WeightSequence.from_a(seq), 100)
     assert built == [102]               # a(0..N+1), alpha = a a view of it
-
-
-def test_rates_are_built_once_for_bd():
     built = {"lambda": [], "mu": []}
 
     def counting(label, build):
@@ -761,16 +758,15 @@ def test_rates_are_built_once_for_bd():
             return build(lo, hi)
         return counted
 
-    n = 1000
     rates = BirthDeathRates.from_builders(
         counting("lambda", lambda lo, hi: np.arange(lo + 1, hi + 1, dtype=float)),
         counting("mu", lambda lo, hi: np.arange(lo, hi, dtype=float)))
     pair, pi = bd_to_jacobi(rates)
-    pair.a_array(n)
-    pair.b_array(n)
-    pi.log_pi(np.arange(n))
-    # a reads mu(1..n); b reads mu(0) on its own and a view of the rest
-    assert built == {"lambda": [(0, n)], "mu": [(1, n + 1), (0, 1)]}
+    pair.a_array(1000)
+    pair.b_array(1000)
+    pi.log_pi(np.arange(1000))
+    # a reads mu(1..1000); b reads mu(0) on its own and a view of the rest
+    assert built == {"lambda": [(0, 1000)], "mu": [(1, 1001), (0, 1)]}
 
 
 def test_single_index_reads_build_each_entry_once():
