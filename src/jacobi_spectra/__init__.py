@@ -13,18 +13,53 @@ Submodules:
 * :mod:`jacobi_spectra.transforms` - sign flip, even/odd restrictions of
   the square, and birth-death generator conversion;
 * :mod:`jacobi_spectra.cli` - the ``jacobi-spectra`` command-line front end.
+
+Importing the package loads only :mod:`jacobi_spectra.errors`.  A submodule
+is imported when it is first reached (``jacobi_spectra.spectra``), and the
+package's public names, each module's ``__all__``, are published at the
+first access to any of them (``from jacobi_spectra import *`` and ``dir``
+included), so a command pays only for the modules it runs.
 """
 
-from .errors import JacobiError, ParseError, DomainError
-# the package's public names are each module's __all__
-from .sequences import *  # noqa: F401,F403
-from .recurrence import *  # noqa: F401,F403
-from .diagnostics import *  # noqa: F401,F403
-from .spectra import *  # noqa: F401,F403
-from .transforms import *  # noqa: F401,F403
+import importlib
 
-# recurrence and diagnostics both declare write_trace_csv: it stays
-# module-qualified
-del write_trace_csv  # noqa: F821
+from .errors import JacobiError, ParseError, DomainError
 
 __version__ = "0.1.0"
+
+# the modules whose __all__ are the public names; a later one wins a name
+# that two declare, as with star imports
+_MODULES = ("sequences", "recurrence", "diagnostics", "spectra", "transforms")
+
+
+def _publish():
+    """Bind each module's ``__all__`` on the package; the public names."""
+    public = ["JacobiError", "ParseError", "DomainError"]
+    for module in map(__getattr__, _MODULES):
+        globals().update((name, getattr(module, name))
+                         for name in module.__all__)
+        public += module.__all__
+    # recurrence and diagnostics both declare write_trace_csv: it stays
+    # module-qualified
+    del globals()["write_trace_csv"]
+    return [name for name in dict.fromkeys(public) if name in globals()]
+
+
+def __getattr__(name):
+    if name in _MODULES or name == "cli":
+        return importlib.import_module("." + name, __name__)
+    # no public name starts with "_": after this miss, ``from . import
+    # _cells`` imports the submodule
+    public = name == "__all__" or not name.startswith("_")
+    if public and "__all__" not in globals():
+        globals()["__all__"] = _publish()
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name)) from None
+
+
+def __dir__():
+    __getattr__("__all__")
+    return list(globals())

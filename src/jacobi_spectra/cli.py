@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .errors import JacobiError, ParseError
-from . import diagnostics, recurrence, spectra, transforms
+from . import recurrence
 from .sequences import WeightSequence, _number, instantiate, parse_family
 
 EXIT_OK = 0
@@ -89,6 +89,7 @@ def _resolve_init(text, seq, lam):
 def _resolve_rates(text):
     if not text:
         raise ParseError("no rates given (use --rates or --bd)")
+    from . import transforms
     if os.path.exists(text):
         return transforms.BirthDeathRates.read_table(text)
     return transforms.parse_rates(text)
@@ -154,6 +155,7 @@ def _emit_json(path_or_none, payload):
 
 
 def cmd_analyze(args, path):
+    from . import diagnostics
     if args.n < 2:
         raise ParseError("--n must be >= 2, got %d" % args.n)
     seq = instantiate(parse_family(args.seq))
@@ -176,6 +178,7 @@ def cmd_analyze(args, path):
 
 
 def cmd_check(args, path):
+    from . import diagnostics
     if args.n < 100:
         raise ParseError("--n must be >= 100, got %d" % args.n)
     theorem = args.theorem
@@ -188,6 +191,7 @@ def cmd_check(args, path):
                              % (theorem, option, value))
     extra = {"theorem": theorem, "n": args.n, "version": __version__}
     if theorem == "51":
+        from . import transforms
         rates = _resolve_rates(args.rates)
         verdicts, conclusion = transforms.bd_check_theorem_51(rates, args.n)
         extra["rates"] = rates.name
@@ -216,6 +220,7 @@ def cmd_check(args, path):
 
 
 def cmd_spectrum(args, path):
+    from . import spectra
     if args.size < 1:
         raise ParseError("--size must be >= 1, got %d" % args.size)
     density = args.window is not None
@@ -243,6 +248,7 @@ def cmd_spectrum(args, path):
 
 
 def cmd_transform(args, path):
+    from . import transforms
     if args.n < 0:
         raise ParseError("--n must be >= 0, got %d" % args.n)
     kind, n = args.kind, args.n

@@ -45,7 +45,6 @@ the catalog stays small and auditable, and composition happens only through
 the ``paired`` sub-spec mechanism.
 """
 
-import csv
 import functools
 import itertools
 import math
@@ -213,6 +212,7 @@ class _Sequences:
         with n = 0..m-1 once each, in any order, skipping rows whose first
         cell is empty or ``n`` or starts with ``#``.  A malformed, unreadable
         or non-UTF-8 file is a ParseError, an empty table a DomainError."""
+        import csv  # tables are the only CSV the package reads
         what, width, rows = cls._table_word, 1 + len(cls._rules), []
         required = width - cls._optional_columns
         try:
