@@ -21,8 +21,6 @@ first access to any of them (``from jacobi_spectra import *`` and ``dir``
 included), so a command pays only for the modules it runs.
 """
 
-import importlib
-
 from .errors import JacobiError, ParseError, DomainError
 
 __version__ = "0.1.0"
@@ -47,11 +45,13 @@ def _publish():
 
 def __getattr__(name):
     if name in _MODULES or name == "cli":
-        return importlib.import_module("." + name, __name__)
+        # __import__, unlike importlib, shows in ``python -X importtime``
+        __import__(__name__ + "." + name)
+        return globals()[name]
     # no public name starts with "_": after this miss, ``from . import
     # _cells`` imports the submodule
-    public = name == "__all__" or not name.startswith("_")
-    if public and "__all__" not in globals():
+    if "__all__" not in globals() and (
+            name == "__all__" or not name.startswith("_")):
         globals()["__all__"] = _publish()
     try:
         return globals()[name]

@@ -26,6 +26,11 @@ An error exit leaves none of the run's files, and no ``--out`` if it
 failed before the first output.  Identical runs give byte-identical
 outputs: 17 significant digits, '.' decimal separator.
 
+Start-up imports only :mod:`~jacobi_spectra.sequences` and
+:mod:`~jacobi_spectra.recurrence`, which every command runs; each command
+imports the rest of what it runs (``diagnostics``, ``spectra``,
+``transforms``) at dispatch, so a call compiles no module it does not run.
+
 Exit codes: 0 success (including failing verdicts), 2 spec/usage errors,
 3 domain errors and sizes that cannot be allocated.
 """

@@ -77,10 +77,3 @@ def test_a_command_imports_the_modules_of_its_path(argv, modules, tmp_path):
                 "errors", "sequences", "recurrence"}
     assert "csv" not in names
 
-
-def test_a_table_read_imports_csv(tmp_path):
-    (tmp_path / "t.csv").write_text("0,1,0\n1,1,0\n")
-    code, names = imported(RUN_CLI, ["transform", "flip", "--seq",
-                                     "table:t.csv", "--n", "2"], tmp_path)
-    assert code == 0
-    assert "csv" in names
